@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -64,8 +63,8 @@ _SCHEMA = {
     "train": {
         "batch": int, "steps": int, "lr_start": float, "lr_end": float,
         "beta1": float, "beta2": float, "eps": float, "seed": int,
-        "snapshot_every": int,
-        "init_spread": str,          # "stratified" (dd default) or "uniform"
+        "init_spread": str,          # dd: "matched" (default, greedy comb start),
+                                     # "stratified" or "uniform"
     },
     "regularizer": {"kind": str, "sigma": float, "trainable": bool},
     "selection": {
@@ -187,7 +186,6 @@ def _train_config(config: dict, seed: int, kind: str) -> trainer.TrainConfig:
         lr_start=lr0, lr_end=lr1,
         beta1=tc.get("beta1", 0.9), beta2=tc.get("beta2", 0.999), eps=tc.get("eps", 1e-8),
         seed=tc.get("seed", seed), prior=prior, regularizer=reg,
-        snapshot_every=tc.get("snapshot_every", 0),
         phi0=NuisanceParams(t2_inv=config["model"].get("T2_inv", 1e-4),
                             chi=1.0 / config["model"].get("repetitions", 1024),
                             eta=config["model"].get("eta0", 1e-2)),
@@ -641,8 +639,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if "VBI_THREADS" in os.environ:  # cap BLAS fan-out before heavy numpy use
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["VBI_THREADS"])
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -11,6 +11,7 @@ gradients alongside values so the trainer never needs finite differences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,10 @@ from .errors import ModelError
 from .probcore import LOG_TWO_PI, log_gaussian_density
 
 VARIANCE_FLOOR = 1e-12
+# (sample, spin, record) triples per block of DDModel.batch_loglik: 256 KiB
+# per float64 buffer, so a block's buffers stay in cache
+_BLOCK_ELEMS = 32768
+_KERNEL_BUFFERS = 12       # buffers _spin_term_core draws from a workspace
 
 _variance_floor_count = 0
 
@@ -69,15 +74,22 @@ def gaussian_outcome_loglik(record: MeasurementRecord, p, chi, eta):
 
     Floored evaluations are tallied in :func:`variance_floor_count`.
     """
+    return float(_gaussian_loglik(record.y, p, chi, eta))
+
+
+def _gaussian_loglik(y, p, chi, eta):
+    """Elementwise :func:`gaussian_outcome_loglik` over arrays of outcomes."""
     global _variance_floor_count
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ModelError(f"probability {p} outside [0, 1]")
+    p = np.asarray(p, dtype=float)
+    inside = (p >= 0.0) & (p <= 1.0)
+    if not np.all(inside):
+        raise ModelError(f"probability {p[~inside].ravel()[0]} outside [0, 1]")
     var = chi * p * (1.0 - p) + eta * eta
-    if var < VARIANCE_FLOOR:
-        var = VARIANCE_FLOOR
-        _variance_floor_count += 1
-    return log_gaussian_density(record.y, p, var)
+    floored = var < VARIANCE_FLOOR
+    if np.any(floored):
+        _variance_floor_count += int(np.count_nonzero(floored))
+        var = np.maximum(var, VARIANCE_FLOOR)
+    return log_gaussian_density(y, p, var)
 
 
 # ---------------------------------------------------------------------------
@@ -172,87 +184,188 @@ class ToyModel:
 # ---------------------------------------------------------------------------
 
 
-def _spin_term_core(a_z, a_perp, tau, n_pi, omega_l, with_grad: bool, rec_trig=None):
-    """Eq.-level evaluation of the single-spin modulation M and its partials.
+@dataclass(frozen=True)
+class _DDRecords:
+    """Per-record constants of the spin term, shaped to broadcast against the
+    coupling arrays: tau, N_pi, beta = omega_L tau, cos beta, sin beta and
+    1 - cos beta.
 
-    The denominator 1 + cos(phi) falls back to the algebraically identical
-    half-angle form 2cos^2((alpha+beta)/2) + (1-m_z) sin(alpha) sin(beta)
-    wherever the direct form cancels below 1e-12.
-    ``rec_trig`` optionally carries precomputed (beta, cos b, sin b, 1-cos b).
+    ``ladder`` holds the bits of N_pi from the highest set one down, each
+    True (every record has it), False (no record has it) or a record-shaped
+    boolean mask.
     """
+
+    tau: np.ndarray
+    n_pi: np.ndarray
+    beta: np.ndarray
+    cb: np.ndarray
+    sb: np.ndarray
+    one_m_cb: np.ndarray
+    ladder: tuple
+
+
+def _dd_records(tau, n_pi, omega_l) -> _DDRecords:
+    tau = np.asarray(tau, dtype=float)
+    n_pi = np.asarray(n_pi, dtype=float)
+    n = n_pi.astype(np.int64)
+    if np.any(n != n_pi) or np.any(n < 1):
+        raise ModelError(f"n_pi must be positive integers, got {n_pi}")
+    ladder = []
+    for j in range(int(n.max(initial=1)).bit_length() - 1, -1, -1):
+        bit = ((n >> j) & 1).astype(bool)
+        ladder.append(True if bit.all() else bit if bit.any() else False)
+    beta = omega_l * tau
+    cb = np.cos(beta)
+    return _DDRecords(tau=tau, n_pi=n_pi, beta=beta, cb=cb, sb=np.sin(beta),
+                      one_m_cb=1.0 - cb, ladder=tuple(ladder))
+
+
+def _spin_axes(a_z, a_perp, omega_l):
+    """Precession rate w = |(omega_L + A_z, A_perp)|, m_z = (omega_L + A_z) / w
+    and u = m_x^2 = A_perp^2 / w^2 of each spin."""
     r = a_z + omega_l
     wsq = r * r + a_perp * a_perp
     w = np.sqrt(wsq)
-    alpha = w * tau
-    if rec_trig is None:
-        beta = omega_l * tau
-        cb, sb = np.cos(beta), np.sin(beta)
-        one_m_cb = 1.0 - cb
-    else:
-        beta, cb, sb, one_m_cb = rec_trig
-    m_z = r / w
-    u = (a_perp * a_perp) / wsq                      # m_x^2
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    sasb = sa * sb
-    cos_phi = np.clip(ca * cb - m_z * sasb, -1.0, 1.0)
-    denom = 1.0 + cos_phi
-    unstable = denom < 1e-12
-    if np.any(unstable):
-        if np.ndim(denom) == 0:
-            half = np.cos(0.5 * (alpha + beta))
-            denom = 2.0 * half * half + (1.0 - m_z) * sasb
+    return w, r / w, (a_perp * a_perp) / wsq
+
+
+def _chebyshev(c, ladder, with_u: bool, buf):
+    """2 T_N(c) and U_{N-1}(c) by the binary ladder of ``_spin_term_core``.
+
+    Every record starts from (T_0, U_{-1}) = (1, 0).  U is carried when the
+    caller reads it or a step after the first reads it; otherwise None.
+    """
+    first = ladder[0]
+    keep_u = with_u or sum(bit is not False for bit in ladder) > 1
+    x = np.multiply(c, 2.0, out=next(buf))           # (2 T_1, U_0) = (2c, 1)
+    u = next(buf) if keep_u else None
+    if first is not True:                            # (2 T_0, U_-1) = (2, 0) below the top bit
+        np.copyto(x, 2.0, where=~first)
+    if u is not None:
+        np.copyto(u, first)
+    two_s2 = spare_x = spare_u = None
+    for bit in ladder[1:]:
+        if u is not None:
+            u *= x                                   # U_{2a-1} = 2 T_a U_{a-1}
+        np.multiply(x, x, out=x)
+        x -= 2.0                                     # 2 T_2a = (2 T_a)^2 - 2
+        if bit is False:
+            continue
+        if two_s2 is None:
+            two_s2 = np.multiply(c, c, out=next(buf))
+            two_s2 *= -2.0
+            two_s2 += 2.0                            # 2 (1 - c^2)
+            spare_x, spare_u = next(buf), next(buf)
+        np.multiply(c, u, out=spare_u)               # U_a = c U_{a-1} + T_a
+        spare_u *= 2.0
+        spare_u += x
+        spare_u *= 0.5
+        if bit is True:                              # 2 T_{a+1} = c 2 T_a - 2 (1 - c^2) U_{a-1}
+            np.multiply(c, x, out=spare_x)
+            u *= two_s2
+            spare_x -= u
+            x, spare_x, u, spare_u = spare_x, x, spare_u, u
         else:
-            shape = denom.shape
-            al = np.broadcast_to(alpha, shape)[unstable]
-            be = np.broadcast_to(beta, shape)[unstable]
-            mz = np.broadcast_to(m_z, shape)[unstable]
-            ss = np.broadcast_to(sasb, shape)[unstable]
-            half = np.cos(0.5 * (al + be))
-            denom = denom.copy()
-            denom[unstable] = 2.0 * half * half + (1.0 - mz) * ss
-    inv_den = 1.0 / np.maximum(denom, 1e-300)
-    numer = (1.0 - ca) * one_m_cb
-    phi = np.arccos(cos_phi)
-    nphi = n_pi * phi
-    cos_nphi = np.cos(nphi)
-    s_term = 0.5 * (1.0 - cos_nphi)                  # sin^2(n_pi phi / 2)
-    g = numer * s_term * inv_den
-    m_val = np.clip(1.0 - u * g, -1.0, 1.0)
+            np.copyto(x, c * x - two_s2 * u, where=bit)
+            np.copyto(u, spare_u, where=bit)
+    return x, u
+
+
+def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work=None):
+    """Single-spin modulation M = 1 - u g for every (spin, record) pair.
+
+    With w, m_z and u = m_x^2 from :func:`_spin_axes`, alpha = w tau and
+    beta = omega_L tau,
+
+        cos phi = cos alpha cos beta - m_z sin alpha sin beta,
+        g = (1 - cos alpha)(1 - cos beta) sin^2(N_pi phi / 2) / (1 + cos phi).
+
+    The alpha terms come from one ``tan`` pass: with t = tan(alpha / 2),
+    cos alpha = (1 - t^2) / (1 + t^2), sin alpha = 2t / (1 + t^2) and
+    1 - cos alpha = 2t^2 / (1 + t^2), free of cancellation.  The phase enters
+    only through Chebyshev polynomials of c = cos phi (Mason & Handscomb,
+    2003): sin^2(N phi / 2) = (1 - T_N(c)) / 2, and its c-derivative is
+    -N U_{N-1}(c) / 2, exact at |c| = 1 where sin(N phi) / sin(phi) is a
+    limit.  Both come from a ladder over the bits of N, highest first:
+    doubling T_2a = 2 T_a^2 - 1, U_{2a-1} = 2 T_a U_{a-1}, then, where the
+    bit is set, T_{a+1} = c T_a - (1 - c^2) U_{a-1}, U_a = c U_{a-1} + T_a.
+    A bit that no record has skips the step and one that every record has
+    needs no mask, so any N costs O(log N) passes.
+
+    The denominator 1 + cos phi falls back to the algebraically identical
+    form 2 cos^2((alpha + beta) / 2) + (1 - m_z) sin alpha sin beta wherever
+    it cancels below 1e-12.
+
+    Returns M, or with ``with_grad`` (M, g, tau dg/dalpha, dg/dm_z): the
+    rest of dM/dA = -(du/dA g + u (dg/dalpha dalpha/dA + dg/dm_z dm_z/dA))
+    depends on the spin alone, so a caller sums these three record-level
+    factors over records first and applies the per-spin chain rule after.
+    ``work``, a (``_KERNEL_BUFFERS``, *shape) array, supplies every full-size
+    temporary and holds the results; without it they are allocated.
+    """
+    w, m_z, u = _spin_axes(a_z, a_perp, omega_l)
+    shape = np.broadcast_shapes(np.shape(w), rec.tau.shape)
+    # fresh arrays from np.empty forever, unless a workspace is handed in
+    buf = iter(work) if work is not None else map(np.empty, itertools.repeat(shape))
+    t = np.multiply(0.5 * w, rec.tau, out=next(buf))
+    np.tan(t, out=t)                                 # tan(alpha / 2)
+    numer = np.multiply(t, t, out=next(buf))
+    ca = np.add(numer, 1.0, out=next(buf))
+    np.divide(2.0, ca, out=ca)                       # 2 / (1 + t^2)
+    sa = np.multiply(t, ca, out=t)                   # sin alpha
+    np.multiply(numer, ca, out=numer)                # 1 - cos alpha
+    np.subtract(1.0, numer, out=ca)                  # cos alpha
+    sasb = np.multiply(sa, rec.sb, out=next(buf))
+    den = np.multiply(sasb, m_z, out=next(buf))
+    c = np.multiply(ca, rec.cb, out=next(buf))
+    c -= den
+    np.clip(c, -1.0, 1.0, out=c)                     # cos phi
+    np.add(c, 1.0, out=den)
+    if den.size and den.min() < 1e-12:
+        unstable = den < 1e-12
+        at = lambda v: np.broadcast_to(v, shape)[unstable]
+        half = np.cos(0.5 * (at(w) * at(rec.tau) + at(rec.beta)))
+        den[unstable] = np.maximum(2.0 * half * half + (1.0 - at(m_z)) * sasb[unstable], 1e-300)
+    inv_den = np.reciprocal(den, out=den)
+    numer *= rec.one_m_cb                            # (1 - cos alpha)(1 - cos beta)
+    h, cheb_u = _chebyshev(c, rec.ladder, with_grad, buf)
+    h *= -0.25
+    h += 0.5                                         # sin^2(N phi / 2) = (1 - T_N) / 2
+    h *= inv_den
+    g = np.multiply(numer, h, out=c)
+    m_val = np.multiply(u, g, out=next(buf))
+    np.subtract(1.0, m_val, out=m_val)
+    np.clip(m_val, -1.0, 1.0, out=m_val)
     if not with_grad:
         return m_val
 
-    # sin(n phi)/sin(phi); l'Hopital where sin(phi) ~ 0 (there |cos_phi| = 1)
-    s_phi = np.sqrt(np.maximum(1.0 - cos_phi * cos_phi, 0.0))
-    ratio = np.sin(nphi) / np.maximum(s_phi, 1e-9)
-    small = s_phi < 1e-9
-    if np.any(small):
-        ratio = np.where(small, n_pi * cos_nphi / np.where(cos_phi < 0, -1.0, 1.0), ratio)
-    ds_dc = -0.5 * n_pi * ratio                      # d sin^2(n phi / 2) / d cos(phi)
-    dc_da = -sa * cb - m_z * ca * sb
-    q = (numer * ds_dc - g) * inv_den                # common factor of dG/dcos(phi)
-    dg_da = dc_da * q + sa * one_m_cb * (s_term * inv_den)
-    dg_dmz = -sasb * q
-
-    da_daz = tau * m_z
-    da_dap = tau * (a_perp / w)
-    dmz_daz = u / w
-    dmz_dap = -m_z * a_perp / wsq
-    du_daz = -2.0 * u * m_z / w
-    du_dap = 2.0 * a_perp * m_z * m_z / wsq
-
-    dm_daz = -(du_daz * g + u * (dg_da * da_daz + dg_dmz * dmz_daz))
-    dm_dap = -(du_dap * g + u * (dg_da * da_dap + dg_dmz * dmz_dap))
-    return m_val, dm_daz, dm_dap
+    qn = cheb_u                                      # -dg/dcos phi =
+    qn *= 0.5 * rec.n_pi                             # (g + N/2 U_{N-1} numer) / (1 + cos phi)
+    qn *= numer
+    qn += g
+    qn *= inv_den
+    dg_dmz = np.multiply(sasb, qn, out=sasb)
+    np.multiply(ca, m_z, out=ca)
+    ca *= rec.tau * rec.sb
+    tau_dg_da = np.multiply(sa, rec.tau * rec.cb, out=numer)
+    tau_dg_da += ca
+    tau_dg_da *= qn                                  # through cos phi, plus
+    h *= rec.tau * rec.one_m_cb
+    h *= sa
+    tau_dg_da += h                                   # through 1 - cos alpha
+    return m_val, g, tau_dg_da, dg_dmz
 
 
 def dd_single_spin_term(a_z, a_perp, tau, n_pi, omega_l):
     """Coherence modulation M(A_k, tau, N_pi) of one nuclear spin, in [-1, 1]."""
     if not np.all(np.asarray(omega_l) > 0):
         raise ModelError("omega_l must be positive")
-    a_z = np.asarray(a_z, dtype=float)
-    a_perp = np.asarray(a_perp, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    out = _spin_term_core(a_z, a_perp, tau, np.asarray(n_pi), np.asarray(omega_l), False)
+    a_z, a_perp, tau, n_pi, omega_l = (np.asarray(v, dtype=float)
+                                       for v in (a_z, a_perp, tau, n_pi, omega_l))
+    shape = np.broadcast(a_z, a_perp, tau, n_pi, omega_l).shape
+    one_d = np.atleast_1d      # the kernel works in place on arrays
+    out = _spin_term_core(one_d(a_z), one_d(a_perp), _dd_records(one_d(tau), one_d(n_pi), omega_l),
+                          omega_l, False).reshape(shape)
     if np.any(np.isnan(out)):
         raise ModelError(f"spin term is NaN for a_z={a_z}, a_perp={a_perp}, tau={tau}, "
                          f"n_pi={n_pi}, omega_l={omega_l}")
@@ -264,10 +377,17 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
     a = np.asarray(couplings, dtype=float)
     if a.ndim != 1 or a.size % 2:
         raise ModelError("couplings must be a flat (A_z, A_perp) interleaved vector")
+    if not np.all(np.asarray(omega_l) > 0):
+        raise ModelError("omega_l must be positive")
     tau = np.asarray(tau, dtype=float)
-    prod = np.ones_like(tau, dtype=float)
-    for k in range(a.size // 2):
-        prod = prod * dd_single_spin_term(a[2 * k], a[2 * k + 1], tau, n_pi, omega_l)
+    n_pi = np.asarray(n_pi, dtype=float)
+    # spins on a leading axis, so the product runs over whole record arrays
+    spin = (slice(None),) + (None,) * np.broadcast(tau, n_pi).ndim
+    m = _spin_term_core(a[0::2][spin], a[1::2][spin], _dd_records(tau, n_pi, omega_l),
+                        omega_l, False)
+    prod = m.prod(axis=0)
+    if np.any(np.isnan(prod)):
+        raise ModelError(f"spin term is NaN for couplings={a}, tau={tau}, n_pi={n_pi}")
     envelope = np.exp(-np.power(n_pi * tau * phi.t2_inv, eta_stretch))
     p0 = 0.5 * (1.0 + envelope * prod)
     p0 = np.clip(p0, 0.0, 1.0)
@@ -276,12 +396,10 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
 
 @dataclass(frozen=True)
 class _DDData:
-    tau: np.ndarray      # (1, M, 1) for broadcasting against (B, M, K)
-    n_pi: np.ndarray
+    rec: _DDRecords      # record constants shaped (1, 1, M) against (B, K, 1) couplings
     y: np.ndarray        # (M,)
     reps: np.ndarray
     seq_time: np.ndarray  # (M,) N_pi * tau
-    rec_trig: tuple = None  # (beta, cos beta, sin beta), each (1, M, 1)
 
 
 class DDModel:
@@ -314,59 +432,65 @@ class DDModel:
     def prepare(self, records) -> _DDData:
         tau = np.array([r.tau_us for r in records])
         n_pi = np.array([r.n_pi for r in records], dtype=float)
-        beta = (self.omega_l * tau)[None, :, None]
-        cb = np.cos(beta)
         return _DDData(
-            tau=tau[None, :, None],
-            n_pi=n_pi[None, :, None],
+            rec=_dd_records(tau[None, None, :], n_pi[None, None, :], self.omega_l),
             y=np.array([r.y for r in records]),
             reps=np.array([r.repetitions for r in records], dtype=float),
             seq_time=n_pi * tau,
-            rec_trig=(beta, cb, np.sin(beta), 1.0 - cb),
         )
-
-    def _signal_batch(self, data: _DDData, a: np.ndarray, phi: NuisanceParams, with_grad: bool):
-        """Mean outcome p1 = 1 - p0 per (sample, record), plus partials."""
-        b = a.shape[0]
-        az = a[:, 0::2][:, None, :]      # (B, 1, K)
-        ap = a[:, 1::2][:, None, :]
-        if with_grad:
-            m, dm_daz, dm_dap = _spin_term_core(az, ap, data.tau, data.n_pi, self.omega_l,
-                                                True, data.rec_trig)
-        else:
-            m = _spin_term_core(az, ap, data.tau, data.n_pi, self.omega_l, False, data.rec_trig)
-        # leave-one-out products keep gradients finite when some M_k ~ 0
-        pad = np.ones((b, m.shape[1], 1))
-        left = np.cumprod(np.concatenate([pad, m[:, :, :-1]], axis=2), axis=2)
-        right = np.cumprod(np.concatenate([pad, m[:, :, ::-1][:, :, :-1]], axis=2), axis=2)[:, :, ::-1]
-        prod = left[:, :, -1] * m[:, :, -1] if m.shape[2] else np.ones((b, data.y.size))
-        damp_arg = data.seq_time * phi.t2_inv
-        envelope = np.exp(-np.power(damp_arg, self.eta_stretch))           # (M,)
-        p1 = 0.5 * (1.0 - envelope[None, :] * prod)
-        if not with_grad:
-            return np.clip(p1, 0.0, 1.0), None
-        loo = left * right                                                 # (B, M, K)
-        dp1_daz = -0.5 * envelope[None, :, None] * loo * dm_daz
-        dp1_dap = -0.5 * envelope[None, :, None] * loo * dm_dap
-        if phi.t2_inv > 0:
-            denv = -envelope * self.eta_stretch * np.power(damp_arg, self.eta_stretch) / phi.t2_inv
-        else:
-            denv = -envelope * data.seq_time if self.eta_stretch == 1.0 else np.zeros_like(envelope)
-        dp1_dt2inv = -0.5 * denv[None, :] * prod
-        return np.clip(p1, 0.0, 1.0), (dp1_daz, dp1_dap, dp1_dt2inv)
 
     def batch_loglik(self, data: _DDData, a: np.ndarray, phi: NuisanceParams,
                      grad_weights=None):
         """Summed Gaussian log-likelihood, dA (B, 2K) and dphi (B, 3).
 
         ``grad_weights`` (M,) weight the records in both gradients only.
+        Samples are independent, so the batch runs in blocks of about
+        ``_BLOCK_ELEMS`` (sample, spin, record) triples that share one
+        workspace: fresh multi-megabyte temporaries would be page-faulted in
+        on every call and evicted from cache.  A row's result does not depend
+        on the block size.
         """
-        global _variance_floor_count
         a = np.atleast_2d(np.asarray(a, dtype=float))
         if a.shape[1] != self.dim:
             raise ModelError(f"expected {self.dim} couplings, got {a.shape[1]}")
-        p1, partials = self._signal_batch(data, a, phi, True)
-        dp1_daz, dp1_dap, dp1_dt2inv = partials
+        damp_arg = data.seq_time * phi.t2_inv
+        envelope = np.exp(-np.power(damp_arg, self.eta_stretch))           # (M,)
+        if phi.t2_inv > 0:
+            denv = -envelope * self.eta_stretch * np.power(damp_arg, self.eta_stretch) / phi.t2_inv
+        else:
+            denv = -envelope * data.seq_time if self.eta_stretch == 1.0 else np.zeros_like(envelope)
+        n = a.shape[0]
+        ll = np.empty(n)
+        grad_a = np.empty_like(a)
+        grad_phi = np.empty((n, 3))
+        step = max(1, _BLOCK_ELEMS // max(1, self.k_spins * data.y.size))
+        # one workspace for all blocks: the kernel's buffers, then loo and right
+        work = np.empty((_KERNEL_BUFFERS + 2, min(step, n), self.k_spins, data.y.size))
+        for lo in range(0, n, step):
+            rows = slice(lo, min(lo + step, n))
+            ll[rows], grad_a[rows], grad_phi[rows] = self._block_loglik(
+                data, a[rows], phi, envelope, denv, grad_weights, work[:, :rows.stop - lo])
+        return ll, grad_a, grad_phi
+
+    def _block_loglik(self, data: _DDData, a, phi: NuisanceParams, envelope, denv, grad_weights,
+                      work):
+        global _variance_floor_count
+        a_z, a_perp = a[:, 0::2], a[:, 1::2]
+        m, g, tau_dg_da, dg_dmz = _spin_term_core(a_z[:, :, None], a_perp[:, :, None], data.rec,
+                                                  self.omega_l, True, work[:-2])  # (B, K, M)
+        # leave-one-out products keep gradients finite when some M_k ~ 0
+        # (running products one spin slice at a time: cumprod along the
+        # strided spin axis takes about three times as long)
+        loo, right = work[-2], work[-1]
+        k = self.k_spins
+        loo[:, :1] = 1.0
+        right[:, -1:] = 1.0
+        for j in range(1, k):
+            np.multiply(loo[:, j - 1], m[:, j - 1], out=loo[:, j])
+            np.multiply(right[:, k - j], m[:, k - j], out=right[:, k - j - 1])
+        prod = loo[:, -1] * m[:, -1] if k else np.ones((a.shape[0], data.y.size))
+        loo *= right
+        p1 = np.clip(0.5 * (1.0 - envelope * prod), 0.0, 1.0)
         pq = p1 * (1.0 - p1)
         var = phi.chi * pq + phi.eta ** 2
         floored = var < VARIANCE_FLOOR
@@ -384,11 +508,24 @@ class DDModel:
         else:
             resid_w = resid
         dll_dp1 = resid_w / var + dll_dvar * phi.chi * (1.0 - 2.0 * p1)    # (B, M)
+
+        # dll/dM_k = dll/dp1 (-envelope / 2) prod_{j != k} M_j, summed over
+        # records against g and its partials before the per-spin factors
+        loo *= (dll_dp1 * (-0.5 * envelope))[:, None, :]
+        s_g = np.einsum("bkm,bkm->bk", loo, g)
+        s_a = np.einsum("bkm,bkm->bk", loo, tau_dg_da)
+        s_z = np.einsum("bkm,bkm->bk", loo, dg_dmz)
+        # dM/dA = -(du/dA g + u (dg/dalpha dalpha/dA + dg/dm_z dm_z/dA)) with
+        # dalpha/dA = tau (m_z, A_perp / w); s_a already carries the tau
+        w, m_z, u = _spin_axes(a_z, a_perp, self.omega_l)                   # (B, K)
+        wsq = w * w
+        du_daz, dmz_daz = -2.0 * u * m_z / w, u / w
+        du_dap, dmz_dap = 2.0 * a_perp * m_z * m_z / wsq, -m_z * a_perp / wsq
         grad_a = np.empty_like(a)
-        grad_a[:, 0::2] = np.einsum("bm,bmk->bk", dll_dp1, dp1_daz)
-        grad_a[:, 1::2] = np.einsum("bm,bmk->bk", dll_dp1, dp1_dap)
+        grad_a[:, 0::2] = -(du_daz * s_g + u * (m_z * s_a + dmz_daz * s_z))
+        grad_a[:, 1::2] = -(du_dap * s_g + u * (a_perp / w * s_a + dmz_dap * s_z))
         grad_phi = np.stack([
-            (dll_dp1 * dp1_dt2inv).sum(axis=1),
+            (dll_dp1 * (-0.5 * denv[None, :] * prod)).sum(axis=1),
             (dll_dvar * pq).sum(axis=1),
             (dll_dvar * 2.0 * phi.eta).sum(axis=1),
         ], axis=1)
@@ -396,11 +533,10 @@ class DDModel:
 
     def loglik_terms(self, records, couplings, phi: NuisanceParams) -> np.ndarray:
         """Per-record log-likelihood values for one coupling vector."""
-        terms = np.empty(len(records))
-        for t, rec in enumerate(records):
-            p0 = self.outcome_prob_zero(rec.tau_us, rec.n_pi, couplings, phi)
-            terms[t] = gaussian_outcome_loglik(rec, 1.0 - p0, phi.chi, phi.eta)
-        return terms
+        tau = np.array([r.tau_us for r in records])
+        n_pi = np.array([r.n_pi for r in records])
+        p1 = 1.0 - np.atleast_1d(self.outcome_prob_zero(tau, n_pi, couplings, phi))
+        return _gaussian_loglik(np.array([r.y for r in records]), p1, phi.chi, phi.eta)
 
     def sample_record(self, rng, tau: float, n_pi: int, repetitions: int, couplings,
                       phi: NuisanceParams, eta0: float = 0.0) -> MeasurementRecord:

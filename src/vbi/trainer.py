@@ -222,7 +222,9 @@ def estimate_elbo(params: flows.FlowParameters, data, model, prior: PriorSpec,
                  "log_lik": loglik[bad], "log_q": log_q[bad]}
         term = ", ".join(f"{k}={v!r}" for k, v in parts.items())
         raise FloatingPointError(f"non-finite ELBO for sample {bad} ({term})")
-    value = float(per_sample.mean())
+    # the regularizer enters as its own batch mean: two ELBOs of one batch that
+    # differ only in it then differ by that mean up to a single rounding
+    value = float((logpi + loglik - log_q).mean() + logr.mean())
 
     dtheta_raw = (dll_dtheta + dpi_dtheta + dr_dtheta) * squash_grad / batch
     dlogq = -np.ones(batch) / batch
@@ -253,7 +255,6 @@ class TrainConfig:
     init_low: np.ndarray | None = None    # init box for mu; defaults from prior
     init_high: np.ndarray | None = None
     phi0: NuisanceParams = field(default_factory=NuisanceParams)
-    snapshot_every: int = 0
     # abort when the smoothed ELBO falls this far below its best so far
     divergence_drop: float = 1e6
 
@@ -278,7 +279,6 @@ class TrainTrace:
     phi: np.ndarray              # (I, 3) transformed nuisance values
     reg_sigma: np.ndarray        # (I,)
     wall_time: float = 0.0
-    snapshots: list = field(default_factory=list)
 
     def smoothed_elbo(self, window: int | None = None) -> float:
         n = self.elbo.size
@@ -436,8 +436,6 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
         trace.lr[i - 1] = lr
         trace.phi[i - 1] = phi.as_array() if train_phi else 0.0
         trace.reg_sigma[i - 1] = est.sigma
-        if config.snapshot_every and i % config.snapshot_every == 0:
-            trace.snapshots.append((i, x[:n_flow].copy()))
         if i >= DIVERGENCE_WINDOW:
             smoothed = float(trace.elbo[i - DIVERGENCE_WINDOW:i].mean())
             best_smoothed = max(best_smoothed, smoothed)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vbi
 from vbi import cli, flows
 from vbi.probcore import RngStream
 from vbi.simulator import read_dataset_csv
@@ -252,3 +257,24 @@ def test_bench_pf_rows(tmp_path):
     assert len(lines) == 4  # header + PF + VBI + baseline
     methods = {line.split(",")[1] for line in lines[1:]}
     assert methods == {"PF", "VBI", "baseline"}
+
+
+# --------------------------------------------------------------------------
+# environment
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_vbi_threads_caps_blas_pool():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["VBI_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(vbi.__file__).resolve().parent.parent),
+                                         *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))])
+    script = ("import os, vbi, numpy as np\n"
+              "a = np.ones((256, 256))\n"
+              "a @ a\n"
+              "print(len(os.listdir('/proc/self/task')))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "1"

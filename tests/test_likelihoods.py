@@ -244,6 +244,78 @@ def test_batch_loglik_agrees_with_record_path():
     assert batch == pytest.approx(lk.log_joint(records, theta, phi, model), rel=1e-12)
 
 
+# --------------------------------------------------------------------------
+# dd kernel against a closed-form oracle, mixed N_pi and |cos phi| = 1
+# --------------------------------------------------------------------------
+
+
+def _oracle_spin_term(a_z, a_perp, tau, n_pi):
+    """M through phi = arccos(cos phi), with 1 + cos phi in its cancellation-free
+    form 2 cos^2((alpha + beta) / 2) + (1 - m_z) sin alpha sin beta."""
+    if a_perp == 0.0:
+        return 1.0
+    r = a_z + OMEGA_L
+    w = math.hypot(r, a_perp)
+    alpha, beta = w * tau, OMEGA_L * tau
+    m_z = r / w
+    cos_phi = math.cos(alpha) * math.cos(beta) - m_z * math.sin(alpha) * math.sin(beta)
+    phi = math.acos(min(1.0, max(-1.0, cos_phi)))
+    one_m_mz = a_perp * a_perp / (w * (w + r))
+    den = 2.0 * math.cos(0.5 * (alpha + beta)) ** 2 + one_m_mz * math.sin(alpha) * math.sin(beta)
+    g = (1.0 - math.cos(alpha)) * (1.0 - math.cos(beta)) / den * math.sin(0.5 * n_pi * phi) ** 2
+    return 1.0 - (a_perp / w) ** 2 * g
+
+
+def _oracle_loglik(records, couplings, t2_inv, chi, eta):
+    total = 0.0
+    for r in records:
+        prod = 1.0
+        for k in range(len(couplings) // 2):
+            prod *= _oracle_spin_term(couplings[2 * k], couplings[2 * k + 1], r.tau_us, r.n_pi)
+        p1 = 0.5 * (1.0 - math.exp(-r.n_pi * r.tau_us * t2_inv) * prod)
+        var = chi * p1 * (1.0 - p1) + eta * eta
+        total += -0.5 * math.log(2.0 * math.pi * var) - (r.y - p1) ** 2 / (2.0 * var)
+    return total
+
+
+def test_dd_kernel_mixed_n_pi_matches_oracle_and_central_differences():
+    n_pis = (1, 2, 7, 24, 32, 33)
+    # row 1, spin 0: A_perp = 0, so cos phi = cos(alpha + beta) is +1 or -1 at
+    # alpha + beta = k pi; odd k takes the unstable-denominator fallback
+    az_flat = 0.12
+    special = [k * math.pi / (az_flat + 2.0 * OMEGA_L) for k in range(10, 16)]
+    # row 2, spin 0: w = omega_L, so alpha = beta and cos phi = 1 at beta = 5 pi, 7 pi
+    az_res = math.sqrt(OMEGA_L ** 2 - 0.09) - OMEGA_L
+    special += [5.0 * math.pi / OMEGA_L, 7.0 * math.pi / OMEGA_L]
+    assert min(1.0 + math.cos((az_flat + 2.0 * OMEGA_L) * t) for t in special[1::2]) < 1e-12
+    rng = RngStream(41)
+    taus = [float(t) for t in np.linspace(5.5, 8.5, 18)]
+    rows = [(t, n_pis[i % 6]) for i, t in enumerate(taus)] + [(t, n) for t in special for n in n_pis]
+    records = [lk.MeasurementRecord(t, n, 1024, float(rng.uniform(0.05, 0.7))) for t, n in rows]
+    batch = np.array([[0.05, 0.25, -0.1, 0.4, 0.2, 0.15],
+                      [az_flat, 0.0, -0.15, 0.3, 0.25, 0.2],
+                      [az_res, 0.3, 0.08, 0.35, -0.05, 0.45]])
+    phi_vals = [3e-4, 1e-3, 0.02]
+    model = lk.DDModel(k_spins=3, omega_l=OMEGA_L)
+    ll, grad_a, grad_phi = model.batch_loglik(model.prepare(records), batch,
+                                              lk.NuisanceParams(*phi_vals))
+
+    def central(f, x, j, h):
+        up, dn = list(x), list(x)
+        up[j] += h
+        dn[j] -= h
+        return (f(up) - f(dn)) / (2.0 * h)
+
+    for b, couplings in enumerate(batch.tolist()):
+        assert ll[b] == pytest.approx(_oracle_loglik(records, couplings, *phi_vals), rel=1e-9)
+        for j in range(6):
+            fd = central(lambda x: _oracle_loglik(records, x, *phi_vals), couplings, j, 1e-6)
+            assert abs(grad_a[b, j] - fd) <= 1e-4 * max(abs(fd), 1.0), (b, j, grad_a[b, j], fd)
+        for j, value in enumerate(phi_vals):
+            fd = central(lambda x: _oracle_loglik(records, couplings, *x), phi_vals, j, 1e-4 * value)
+            assert abs(grad_phi[b, j] - fd) <= 1e-4 * max(abs(fd), 1.0), (b, j, grad_phi[b, j], fd)
+
+
 def test_measurement_record_validation():
     with pytest.raises(ValueError):
         lk.MeasurementRecord(tau_us=0.0, n_pi=32, repetitions=10, y=0.5)
