@@ -10,7 +10,7 @@ not. (Full-scale bands run in tests/test_acceptance.py, criterion 4.)
 import numpy as np
 
 from vbi import flows, smc
-from vbi.cli import fit_dataset
+from vbi.pipeline import fit_dataset
 from vbi.likelihoods import ToyModel
 from vbi.probcore import RngStream
 from vbi.simulator import ScenarioConfig, simulate_dataset

@@ -9,7 +9,7 @@ runs in about a minute; the full desk-scale run is acceptance criterion 6.
 import numpy as np
 
 from vbi import flows, selection
-from vbi.cli import fit_dataset
+from vbi.pipeline import fit_dataset
 from vbi.probcore import RngStream
 from vbi.simulator import (ScenarioConfig, omega_larmor, simulate_dataset,
                            total_measurement_time)

@@ -3,7 +3,7 @@ estimation and nested-model selection.
 
 Public surface by module:
 
-* :mod:`vbi.probcore`    -- deterministic RNG streams, densities, Cholesky.
+* :mod:`vbi.probcore`    -- deterministic RNG streams and densities.
 * :mod:`vbi.flows`       -- normalizing-flow posterior ansatz with exact
   inverse, log-density, and reverse-mode parameter gradients.
 * :mod:`vbi.likelihoods` -- toy multi-frequency Ramsey model and the
@@ -15,7 +15,10 @@ Public surface by module:
   precision/recall/F1 scoring.
 * :mod:`vbi.simulator`   -- synthetic datasets, measurement-time accounting,
   resolution bounds.
-* :mod:`vbi.cli`         -- ``vbi simulate|fit|select|bench-pf|plotdata``.
+* :mod:`vbi.pipeline`    -- run-config format, config-driven fit
+  (``fit_dataset``), greedy comb initialization, PF-vs-VBI benchmark rows.
+* :mod:`vbi.cli`         -- ``vbi simulate|fit|select|bench-pf|plotdata``, a
+  shell over :mod:`vbi.pipeline`.
 
 ``VBI_THREADS=n`` caps the BLAS thread pool: importing the package sets
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to n unless they are already
@@ -29,7 +32,7 @@ if _os.environ.get("VBI_THREADS"):
     for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         _os.environ.setdefault(_name, _os.environ["VBI_THREADS"])
 
-from .flows import AnsatzSpec, FlowParameters, ansatz_log_density, ansatz_sample
+from .flows import AnsatzSpec, FlowParameters, ansatz_log_density
 from .likelihoods import (DDModel, MeasurementRecord, NuisanceParams, ToyModel,
                           dd_outcome_prob, dd_single_spin_term, log_joint,
                           toy_outcome_prob)
@@ -43,7 +46,7 @@ from .trainer import (PriorSpec, RegularizerSpec, TrainConfig, estimate_elbo,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzSpec", "FlowParameters", "ansatz_log_density", "ansatz_sample",
+    "AnsatzSpec", "FlowParameters", "ansatz_log_density",
     "DDModel", "MeasurementRecord", "NuisanceParams", "ToyModel",
     "dd_outcome_prob", "dd_single_spin_term", "log_joint", "toy_outcome_prob",
     "RngStream", "build_sample_set", "cluster_spins", "ml_metrics",

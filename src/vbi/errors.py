@@ -1,19 +1,6 @@
 """Exception types shared across the library."""
 
 
-class FactorizationError(ValueError):
-    """Cholesky factorization hit a non-positive pivot.
-
-    Attributes:
-        pivot: 0-based index of the failing diagonal entry.
-    """
-
-    def __init__(self, pivot: int, value: float):
-        self.pivot = pivot
-        self.value = value
-        super().__init__(f"matrix is not positive definite: pivot {pivot} = {value:.6g}")
-
-
 class NumericOverflowError(ArithmeticError):
     """A flow layer produced a non-finite intermediate.
 
@@ -28,7 +15,7 @@ class NumericOverflowError(ArithmeticError):
 
 
 class ContractViolation(RuntimeError):
-    """A caller violated a documented precondition (e.g. missing gradient cache)."""
+    """A caller violated a documented precondition."""
 
 
 class ModelError(ValueError):

@@ -22,12 +22,12 @@ ordering so every coordinate conditions on every other across the stack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractViolation, NumericOverflowError
+from .errors import NumericOverflowError
 from .probcore import LOG_TWO_PI, RngStream, softplus, softplus_inv
 
 MEAN_FIELD = "mean-field"
@@ -308,16 +308,6 @@ def ansatz_log_density(theta, params: FlowParameters):
     return float(out[0]) if single else out
 
 
-@dataclass
-class FlowDraw:
-    """One reparameterized sample with the cache needed for gradient replay."""
-
-    z: np.ndarray
-    theta: np.ndarray
-    log_q: float
-    _cache: _BatchCache | None = field(default=None, repr=False)
-
-
 def sample_batch(params: FlowParameters, batch: int, rng: RngStream):
     """Batched draw used by the trainer: (theta (B,d), log_q (B,), cache)."""
     if batch < 1:
@@ -326,22 +316,6 @@ def sample_batch(params: FlowParameters, batch: int, rng: RngStream):
     cache = _forward_batch(z, params)
     log_q = _log_std_normal(cache.z) - cache.log_det
     return cache.theta, log_q, cache
-
-
-def ansatz_sample(params: FlowParameters, batch: int, rng: RngStream) -> list[FlowDraw]:
-    """Draws z ~ N(0, I), theta = f(z), log_q = ln N(z) - ln|det|, with cache."""
-    theta, log_q, cache = sample_batch(params, batch, rng)
-    draws = []
-    for b in range(batch):
-        sub = _BatchCache(
-            z=cache.z[b:b + 1],
-            layer_io=[(x[b:b + 1], h[b:b + 1], a[b:b + 1]) for x, h, a in cache.layer_io],
-            affine_in=cache.affine_in[b:b + 1],
-            theta=cache.theta[b:b + 1],
-            log_det=cache.log_det[b:b + 1],
-        )
-        draws.append(FlowDraw(z=cache.z[b], theta=theta[b], log_q=float(log_q[b]), _cache=sub))
-    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +374,6 @@ def backward_batch(cache: _BatchCache, dl_dtheta: np.ndarray, dl_dlogq: np.ndarr
     for grads in reversed(layer_grads):
         parts.extend(grads)
     return np.concatenate(parts)
-
-
-def backward(draw: FlowDraw, dl_dtheta, dl_dlogq: float, params: FlowParameters) -> np.ndarray:
-    """Gradient of a per-draw loss w.r.t. the flat parameter vector."""
-    if draw._cache is None:
-        raise ContractViolation("draw was produced without gradient caching")
-    return backward_batch(draw._cache, np.asarray(dl_dtheta, dtype=float)[None, :],
-                          np.array([float(dl_dlogq)]), params)
 
 
 # ---------------------------------------------------------------------------

@@ -69,16 +69,11 @@ class NuisanceParams:
         return np.array([self.t2_inv, self.chi, self.eta])
 
 
-def gaussian_outcome_loglik(record: MeasurementRecord, p, chi, eta):
-    """log N(y; p, chi*p*(1-p) + eta^2), variance floored at 1e-12.
+def gaussian_outcome_loglik(y, p, chi, eta):
+    """log N(y; p, chi*p*(1-p) + eta^2) elementwise, variance floored at 1e-12.
 
     Floored evaluations are tallied in :func:`variance_floor_count`.
     """
-    return float(_gaussian_loglik(record.y, p, chi, eta))
-
-
-def _gaussian_loglik(y, p, chi, eta):
-    """Elementwise :func:`gaussian_outcome_loglik` over arrays of outcomes."""
     global _variance_floor_count
     p = np.asarray(p, dtype=float)
     inside = (p >= 0.0) & (p <= 1.0)
@@ -373,18 +368,24 @@ def dd_single_spin_term(a_z, a_perp, tau, n_pi, omega_l):
 
 
 def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stretch: float = 1.0):
-    """p(y=0) = (1 + exp(-(N_pi tau / T2)^eta_stretch) * prod_k M_k) / 2."""
+    """p(y=0) = (1 + exp(-(N_pi tau / T2)^eta_stretch) * prod_k M_k) / 2.
+
+    ``couplings`` is one interleaved (A_z, A_perp) vector or a (B, 2K) stack
+    of them; a stack gives one row of probabilities per vector, equal to the
+    single-vector calls.
+    """
     a = np.asarray(couplings, dtype=float)
-    if a.ndim != 1 or a.size % 2:
-        raise ModelError("couplings must be a flat (A_z, A_perp) interleaved vector")
+    if a.ndim not in (1, 2) or a.shape[-1] % 2:
+        raise ModelError("couplings must be an (A_z, A_perp) interleaved vector "
+                         "or a stack of them")
     if not np.all(np.asarray(omega_l) > 0):
         raise ModelError("omega_l must be positive")
     tau = np.asarray(tau, dtype=float)
     n_pi = np.asarray(n_pi, dtype=float)
     # spins on a leading axis, so the product runs over whole record arrays
-    spin = (slice(None),) + (None,) * np.broadcast(tau, n_pi).ndim
-    m = _spin_term_core(a[0::2][spin], a[1::2][spin], _dd_records(tau, n_pi, omega_l),
-                        omega_l, False)
+    spin = (Ellipsis,) + (None,) * np.broadcast(tau, n_pi).ndim
+    m = _spin_term_core(a[..., 0::2].T[spin], a[..., 1::2].T[spin],
+                        _dd_records(tau, n_pi, omega_l), omega_l, False)
     prod = m.prod(axis=0)
     if np.any(np.isnan(prod)):
         raise ModelError(f"spin term is NaN for couplings={a}, tau={tau}, n_pi={n_pi}")
@@ -536,7 +537,7 @@ class DDModel:
         tau = np.array([r.tau_us for r in records])
         n_pi = np.array([r.n_pi for r in records])
         p1 = 1.0 - np.atleast_1d(self.outcome_prob_zero(tau, n_pi, couplings, phi))
-        return _gaussian_loglik(np.array([r.y for r in records]), p1, phi.chi, phi.eta)
+        return gaussian_outcome_loglik(np.array([r.y for r in records]), p1, phi.chi, phi.eta)
 
     def sample_record(self, rng, tau: float, n_pi: int, repetitions: int, couplings,
                       phi: NuisanceParams, eta0: float = 0.0) -> MeasurementRecord:

@@ -1,4 +1,4 @@
-"""Deterministic random streams, elementary densities, small dense linear algebra.
+"""Deterministic random streams and elementary densities.
 
 Everything downstream draws randomness through :class:`RngStream`, a
 counter-based Philox stream.  A stream is single-owner: drawing advances it.
@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import FactorizationError
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -73,13 +71,6 @@ class RngStream:
         return self._gen.multivariate_normal(mean, cov, size, method="cholesky")
 
 
-def sample_standard_normal(rng: RngStream, d: int) -> np.ndarray:
-    """d independent N(0,1) draws; reproducible given the stream state."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return rng.standard_normal(d)
-
-
 def log_gaussian_density(y, mean, variance):
     """log N(y; mean, variance) = -0.5 ln(2π v) - (y-mean)^2 / (2v).
 
@@ -92,30 +83,6 @@ def log_gaussian_density(y, mean, variance):
     m = np.asarray(mean, dtype=float)
     out = -0.5 * (LOG_TWO_PI + np.log(v)) - (y - m) ** 2 / (2.0 * v)
     return float(out) if out.ndim == 0 else out
-
-
-def cholesky_lower(s: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == s.
-
-    Raises :class:`FactorizationError` carrying the 0-based index of the first
-    non-positive pivot when ``s`` is not positive definite.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    scale = max(1.0, float(np.max(np.abs(s))))
-    if np.max(np.abs(s - s.T)) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    d = s.shape[0]
-    low = np.zeros((d, d))
-    for j in range(d):
-        pivot = s[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise FactorizationError(j, float(pivot))
-        low[j, j] = math.sqrt(pivot)
-        if j + 1 < d:
-            low[j + 1:, j] = (s[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
 
 
 def softplus(x):

@@ -63,7 +63,7 @@ def build_sample_set(raw_draws, aperp_threshold: float,
         n, spins = threshold_and_prune(raw[i], aperp_threshold, az_max)
         classes[i] = n
         class_sets.setdefault(n, []).append(spins)
-    probs = {n: len(s) / z for n, s in class_sets.items()}
+    probs = class_probabilities(classes)
     return PosteriorSampleSet(z=z, raw=raw, classes=classes, class_sets=class_sets,
                               probabilities=probs, map_class=map_class(probs),
                               aperp_threshold=aperp_threshold, az_max=az_max)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,12 +64,6 @@ class ScenarioConfig:
     @property
     def omega_l(self) -> float:
         return omega_larmor(self.b_gauss)
-
-    def build_model(self, ansatz_spins: int | None = None):
-        if self.kind == MODEL_DD:
-            k = ansatz_spins if ansatz_spins is not None else self.theta_true.size // 2
-            return DDModel(k_spins=k, omega_l=self.omega_l, eta_stretch=self.eta_stretch)
-        return ToyModel(n=self.theta_true.size)
 
 
 def simulate_dataset(cfg: ScenarioConfig) -> list[MeasurementRecord]:

@@ -48,26 +48,6 @@ class RegularizerSpec:
             raise ValueError("regularizer scale must be positive")
 
 
-def log_regularizer(theta, spec: RegularizerSpec) -> float:
-    """Log of the regularizing prior factor at theta.
-
-    l1: -d ln(2 sigma) - |theta|_1 / sigma
-    l2: -(d/2) ln(2 pi sigma^2) - |theta|_2^2 / (2 sigma^2)
-    """
-    theta = np.asarray(theta, dtype=float)
-    d = theta.shape[-1]
-    if spec.kind == REG_NONE:
-        return 0.0 if theta.ndim == 1 else np.zeros(theta.shape[0])
-    if spec.sigma <= 0:
-        raise ValueError("regularizer scale must be positive")
-    if spec.kind == REG_L1:
-        out = -d * math.log(2.0 * spec.sigma) - np.abs(theta).sum(axis=-1) / spec.sigma
-    else:
-        out = (-0.5 * d * math.log(2.0 * math.pi * spec.sigma ** 2)
-               - (theta * theta).sum(axis=-1) / (2.0 * spec.sigma ** 2))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _fitted_sigma(theta2d: np.ndarray, kind: str) -> float:
     """Scale that maximizes the batch-mean log regularizer.
 
@@ -252,8 +232,6 @@ class TrainConfig:
     seed: int = 0
     prior: PriorSpec = field(default_factory=PriorSpec)
     regularizer: RegularizerSpec = field(default_factory=RegularizerSpec)
-    init_low: np.ndarray | None = None    # init box for mu; defaults from prior
-    init_high: np.ndarray | None = None
     phi0: NuisanceParams = field(default_factory=NuisanceParams)
     # abort when the smoothed ELBO falls this far below its best so far
     divergence_drop: float = 1e6
@@ -331,11 +309,9 @@ def train(config: TrainConfig, dataset, model, ansatz_spec: flows.AnsatzSpec):
     """
     rng = RngStream(config.seed)
     init_rng, _ = rng.split(2)
-    box = (config.init_low, config.init_high)
-    if box[0] is None or box[1] is None:
-        box = config.prior.init_box(ansatz_spec.d)
-        if box is None:
-            box = (-np.ones(ansatz_spec.d), np.ones(ansatz_spec.d))
+    box = config.prior.init_box(ansatz_spec.d)
+    if box is None:
+        box = (-np.ones(ansatz_spec.d), np.ones(ansatz_spec.d))
     params = default_init(ansatz_spec, box[0], box[1], init_rng)
     return train_from(config, dataset, model, params)
 

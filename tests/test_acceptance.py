@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from vbi import cli, flows, selection, smc, trainer
+from vbi import flows, pipeline, selection, smc, trainer
 from vbi.likelihoods import (DDModel, GaussianLocationModel, MeasurementRecord,
                              NuisanceParams, ToyModel, dd_single_spin_term)
 from vbi.probcore import RngStream
@@ -173,7 +173,7 @@ def bench_rows():
                   "batch": 64, "steps": 2000, "trials": 10000},
     }
     t0 = time.perf_counter()
-    rows = cli.bench_pf_rows(config, [2, 4, 8, 12], [0])
+    rows = pipeline.bench_pf_rows(config, [2, 4, 8, 12], [0])
     return rows, time.perf_counter() - t0
 
 
@@ -240,7 +240,7 @@ def spin_identification_runs():
             "regularizer": {"kind": "l2", "sigma": 1e-3, "trainable": True},
         }
         t0 = time.perf_counter()
-        params, phi, trace = cli.fit_dataset(config, records, seed)
+        params, phi, trace = pipeline.fit_dataset(config, records, seed)
         fit_seconds = time.perf_counter() - t0
         theta, _, _ = flows.sample_batch(params, 4096, RngStream(seed + 12000))
         sample_set = selection.build_sample_set(theta, aperp_threshold=0.05)

@@ -137,13 +137,37 @@ def test_fit_rejects_mismatched_dataset(tmp_path, capsys):
     assert code == 2
 
 
-def test_fit_rejects_corrupt_resume(tmp_path, fitted_run):
+def test_fit_is_byte_reproducible(fitted_run, tmp_path):
     path, out = fitted_run
+    again = tmp_path / "again"
+    code = cli.main(["fit", "--config", path, "--dataset", str(out / "dataset.csv"),
+                     "--out", str(again)])
+    assert code == 0
+    for name in ("checkpoint.json", "trace.csv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_select_rejects_corrupt_checkpoint(tmp_path, fitted_run):
+    path, _ = fitted_run
     bad = tmp_path / "bad.json"
     bad.write_text("{\"magic\": \"WRONG\"}")
-    code = cli.main(["fit", "--config", path, "--dataset", str(out / "dataset.csv"),
-                     "--out", str(tmp_path), "--resume", str(bad)])
+    code = cli.main(["select", "--config", path, "--checkpoint", str(bad),
+                     "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_select_numeric_overflow_exits_3(tmp_path, capsys):
+    # draws of a flow with location and scale 1e308 overflow in its affine map
+    path = write_config(tmp_path, dd_config())
+    spec = flows.AnsatzSpec(d=6, family="mean-field")
+    params = flows.init_flow_parameters(spec, np.full(6, 1e308), np.full(6, 1e308))
+    ckpt = tmp_path / "overflow.json"
+    flows.save_checkpoint(ckpt, params)
+    code = cli.main(["select", "--config", path, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_select_report(fitted_run):

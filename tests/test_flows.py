@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vbi import flows
-from vbi.errors import ContractViolation
 from vbi.probcore import LOG_TWO_PI, RngStream
 
 
@@ -70,12 +69,12 @@ def test_bijectivity_large_cloud():
 
 def test_sample_determinism_and_density_consistency():
     params = random_params(2, "stacked", seed=41)
-    draw_a = flows.ansatz_sample(params, 1, RngStream(77))[0]
-    draw_b = flows.ansatz_sample(params, 1, RngStream(77))[0]
-    assert np.array_equal(draw_a.theta, draw_b.theta)
-    assert draw_a.log_q == draw_b.log_q
-    for draw in flows.ansatz_sample(params, 32, RngStream(5)):
-        assert abs(draw.log_q - flows.ansatz_log_density(draw.theta, params)) <= 1e-9
+    theta_a, log_q_a, _ = flows.sample_batch(params, 1, RngStream(77))
+    theta_b, log_q_b, _ = flows.sample_batch(params, 1, RngStream(77))
+    assert np.array_equal(theta_a, theta_b)
+    assert np.array_equal(log_q_a, log_q_b)
+    theta, log_q, _ = flows.sample_batch(params, 32, RngStream(5))
+    assert np.max(np.abs(log_q - flows.ansatz_log_density(theta, params))) <= 1e-9
 
 
 def test_mean_field_sample_moments():
@@ -136,21 +135,21 @@ def test_backward_linear_loss_mean_field():
     # Loss = theta_1 has d/d mu_1 = 1 and d/d sigma_1 = z_1 (pathwise)
     spec = flows.AnsatzSpec(d=2, family="mean-field")
     params = flows.init_flow_parameters(spec, np.zeros(2), np.ones(2))
-    draw = flows.ansatz_sample(params, 1, RngStream(9))[0]
-    grad = flows.backward(draw, np.array([1.0, 0.0]), 0.0, params)
+    _, _, cache = flows.sample_batch(params, 1, RngStream(9))
+    grad = flows.backward_batch(cache, np.array([[1.0, 0.0]]), np.zeros(1), params)
     # layout: mu (2), diagonal raw (2); softplus'(raw) at scale 1
     sig = 1.0 / (1.0 + np.exp(-np.diag(params.l_raw)))
     assert grad[0] == pytest.approx(1.0)
     assert grad[1] == pytest.approx(0.0)
-    assert grad[2] == pytest.approx(draw.z[0] * sig[0])
+    assert grad[2] == pytest.approx(cache.z[0, 0] * sig[0])
     assert grad[3] == pytest.approx(0.0)
 
 
 def test_backward_entropy_gradient_full_affine():
     # Loss = -log_q: gradient w.r.t. the diagonal of L is 1/diag * softplus'
     params = random_params(3, "full-affine", seed=71, jitter=0.1)
-    draw = flows.ansatz_sample(params, 1, RngStream(10))[0]
-    grad = flows.backward(draw, np.zeros(3), -1.0, params)
+    _, _, cache = flows.sample_batch(params, 1, RngStream(10))
+    grad = flows.backward_batch(cache, np.zeros((1, 3)), np.array([-1.0]), params)
     raw = np.diag(params.l_raw)
     diag = np.diag(params.l_matrix())
     expected = (1.0 / diag) * (1.0 / (1.0 + np.exp(-raw)))
@@ -162,16 +161,17 @@ def test_backward_entropy_gradient_full_affine():
 @pytest.mark.parametrize("d", [1, 2, 6])
 def test_backward_matches_fd_all_params(d):
     params = random_params(d, "stacked", seed=80 + d, n_layers=3, hidden_width=6, jitter=0.2)
-    draw = flows.ansatz_sample(params, 1, RngStream(90 + d))[0]
+    _, _, cache = flows.sample_batch(params, 1, RngStream(90 + d))
+    z = cache.z[0]
     a_vec = RngStream(91 + d).standard_normal(d)
     b_coef = 0.6
-    grad = flows.backward(draw, a_vec, b_coef, params)
+    grad = flows.backward_batch(cache, a_vec[None, :], np.array([b_coef]), params)
     v0 = params.to_vector()
 
     def loss(v):
         p = params.from_vector(v)
-        theta, log_det = flows.flow_forward(draw.z, p)
-        log_q = -0.5 * (d * LOG_TWO_PI + draw.z @ draw.z) - log_det
+        theta, log_det = flows.flow_forward(z, p)
+        log_q = -0.5 * (d * LOG_TWO_PI + z @ z) - log_det
         return a_vec @ theta + b_coef * log_q
 
     h = 1e-5
@@ -181,14 +181,6 @@ def test_backward_matches_fd_all_params(d):
         vm[i] -= h
         fd = (loss(vp) - loss(vm)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-
-
-def test_backward_requires_cache():
-    params = random_params(2, "mean-field", seed=95)
-    draw = flows.ansatz_sample(params, 1, RngStream(1))[0]
-    bare = flows.FlowDraw(z=draw.z, theta=draw.theta, log_q=draw.log_q)
-    with pytest.raises(ContractViolation):
-        flows.backward(bare, np.zeros(2), 0.0, params)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -214,3 +206,8 @@ def test_dimension_mismatch_rejected():
         flows.flow_forward(np.zeros(2), params)
     with pytest.raises(ValueError):
         flows.flow_inverse(np.zeros(4), params)
+
+
+def test_zero_dimension_rejected():
+    with pytest.raises(ValueError):
+        flows.AnsatzSpec(d=0)

@@ -159,39 +159,52 @@ def test_outcome_prob_bounds_on_random_draws():
     assert np.all(p0 >= 0.0) and np.all(p0 <= 1.0)
 
 
+@pytest.mark.parametrize("n_pi", ["fixed", "mixed"])
+def test_outcome_prob_stacked_couplings_equal_row_calls(n_pi):
+    rng = RngStream(41)
+    taus = rng.uniform(6.0, 8.5, 512)
+    n_pi = 32 if n_pi == "fixed" else rng.integers(1, 40, 512)
+    phi = lk.NuisanceParams(t2_inv=1e-4)
+    stack = rng.uniform(-0.4, 0.4, (33, 20))
+    stacked = lk.dd_outcome_prob(taus, n_pi, stack, phi, OMEGA_L)
+    assert stacked.shape == (33, 512)
+    rows = np.stack([lk.dd_outcome_prob(taus, n_pi, a, phi, OMEGA_L) for a in stack])
+    assert np.array_equal(stacked, rows)
+    # the toy model takes a stack of frequency vectors on a leading axis
+    omegas = rng.uniform(0.0, 1.0, (33, 4))
+    rows = np.stack([lk.toy_outcome_prob(taus, w) for w in omegas])
+    assert np.array_equal(lk.toy_outcome_prob(taus, omegas[:, None, :]), rows)
+
+
 # --------------------------------------------------------------------------
 # gaussian outcome model
 # --------------------------------------------------------------------------
 
 
-def _record(y, reps=1024):
-    return lk.MeasurementRecord(tau_us=7.0, n_pi=32, repetitions=reps, y=y)
-
-
 def test_gaussian_outcome_loglik_matches_density_oracle():
     # frozen via the log_gaussian_density oracle: -0.5 ln(2 pi 0.25/1024)
-    got = lk.gaussian_outcome_loglik(_record(0.5), 0.5, 1.0 / 1024, 0.0)
+    got = lk.gaussian_outcome_loglik(0.5, 0.5, 1.0 / 1024, 0.0)
     oracle = log_gaussian_density(0.5, 0.5, 0.25 / 1024)
     assert got == pytest.approx(oracle, abs=1e-12)
     assert got == pytest.approx(3.2399445501549993, abs=1e-9)
 
 
 def test_gaussian_outcome_loglik_eta_only():
-    got = lk.gaussian_outcome_loglik(_record(0.6), 0.5, 0.0, 0.1)
+    got = lk.gaussian_outcome_loglik(0.6, 0.5, 0.0, 0.1)
     assert got == pytest.approx(-0.5 * math.log(2 * math.pi * 0.01) - 0.5, abs=1e-12)
 
 
 def test_gaussian_outcome_variance_floor_flagged():
     lk.reset_variance_floor_count()
     before = lk.variance_floor_count()
-    val = lk.gaussian_outcome_loglik(_record(0.3), 1.0, 0.0, 0.0)
+    val = lk.gaussian_outcome_loglik(0.3, 1.0, 0.0, 0.0)
     assert lk.variance_floor_count() == before + 1
     assert val < -1e9  # enormous penalty, not -inf
 
 
 def test_gaussian_outcome_rejects_bad_probability():
     with pytest.raises(ModelError):
-        lk.gaussian_outcome_loglik(_record(0.5), 1.2, 0.0, 0.1)
+        lk.gaussian_outcome_loglik(0.5, 1.2, 0.0, 0.1)
 
 
 # --------------------------------------------------------------------------

@@ -1,26 +1,19 @@
 import numpy as np
 import pytest
 
-from vbi.errors import FactorizationError
-from vbi.probcore import (RngStream, cholesky_lower, log_gaussian_density,
-                          sample_standard_normal, softplus, softplus_inv)
+from vbi.probcore import RngStream, log_gaussian_density, softplus, softplus_inv
 
 
 def test_same_seed_same_sequence():
-    a = sample_standard_normal(RngStream(7), 3)
-    b = sample_standard_normal(RngStream(7), 3)
+    a = RngStream(7).standard_normal(3)
+    b = RngStream(7).standard_normal(3)
     assert np.array_equal(a, b)
 
 
 def test_standard_normal_moments():
-    draws = sample_standard_normal(RngStream(123), 100000)
+    draws = RngStream(123).standard_normal(100000)
     assert -0.02 <= draws.mean() <= 0.02
     assert 0.97 <= draws.var() <= 1.03
-
-
-def test_zero_dimension_rejected():
-    with pytest.raises(ValueError):
-        sample_standard_normal(RngStream(0), 0)
 
 
 def test_split_streams_are_disjoint_and_deterministic():
@@ -59,34 +52,6 @@ def test_log_gaussian_rejects_bad_variance():
         log_gaussian_density(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         log_gaussian_density(0.0, 0.0, -1.0)
-
-
-def test_cholesky_identity_and_hand_case():
-    assert np.allclose(cholesky_lower(np.eye(2)), np.eye(2))
-    low = cholesky_lower(np.array([[4.0, 2.0], [2.0, 2.0]]))
-    assert np.allclose(low, [[2.0, 0.0], [1.0, 1.0]])
-
-
-def test_cholesky_reports_failing_pivot():
-    with pytest.raises(FactorizationError) as err:
-        cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert err.value.pivot == 1
-
-
-def test_cholesky_reconstruction_random_spd():
-    rng = RngStream(5)
-    for d in (1, 2, 3, 6, 12):
-        m = rng.standard_normal((d, d))
-        spd = m @ m.T + 1e-3 * np.eye(d)
-        low = cholesky_lower(spd)
-        assert np.tril(low).shape == (d, d)
-        assert np.max(np.abs(low @ low.T - spd)) <= 1e-9
-        assert np.all(np.diag(low) > 0)
-
-
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        cholesky_lower(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_softplus_roundtrip():
