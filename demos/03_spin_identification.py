@@ -11,8 +11,7 @@ import numpy as np
 from vbi import flows, selection
 from vbi.pipeline import fit_dataset
 from vbi.probcore import RngStream
-from vbi.simulator import (ScenarioConfig, omega_larmor, simulate_dataset,
-                           total_measurement_time)
+from vbi.simulator import ScenarioConfig, simulate_dataset, total_measurement_time
 
 truth = np.array([-0.18, 0.32, 0.04, 0.22, 0.21, 0.40])  # (A_z, A_perp) pairs
 scenario = ScenarioConfig(kind="dd", theta_true=truth, m_points=256,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import flows, pipeline, selection, trainer
+from . import flows, pipeline, selection
 from .errors import TrainingDiverged
 from .likelihoods import NuisanceParams
 from .pipeline import ConfigError, load_config
@@ -162,9 +162,8 @@ def cmd_plotdata(args) -> int:
         thetas, _, _ = flows.sample_batch(params, n_draws, RngStream(args.seed or 0))
     else:  # degenerate posterior: evaluate at the flow image of z = 0
         thetas = flows.flow_forward(np.zeros(params.d), params)[0][None, :]
+    thetas = pipeline.build_prior(config).transform(thetas)
     if kind == MODEL_TOY:
-        prior = trainer.PriorSpec(kind="box", low=np.zeros(params.d), high=np.ones(params.d))
-        thetas = prior.transform(thetas)
         curves = model.outcome_prob(taus, thetas[:, None, :])
     else:
         curves = 1.0 - model.outcome_prob_zero(taus, records[0].n_pi, thetas, phi)

@@ -11,7 +11,6 @@ gradients alongside values so the trainer never needs finite differences.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,8 @@ from .errors import ModelError
 from .probcore import LOG_TWO_PI, log_gaussian_density
 
 VARIANCE_FLOOR = 1e-12
-# (sample, spin, record) triples per block of DDModel.batch_loglik: 256 KiB
-# per float64 buffer, so a block's buffers stay in cache
+# (row, spin, record) triples per block of _row_blocks: 256 KiB per float64
+# buffer, so a block's buffers stay in cache
 _BLOCK_ELEMS = 32768
 _KERNEL_BUFFERS = 12       # buffers _spin_term_core draws from a workspace
 
@@ -200,6 +199,8 @@ class _DDRecords:
 
 
 def _dd_records(tau, n_pi, omega_l) -> _DDRecords:
+    if not np.all(np.asarray(omega_l) > 0):
+        raise ModelError("omega_l must be positive")
     tau = np.asarray(tau, dtype=float)
     n_pi = np.asarray(n_pi, dtype=float)
     n = n_pi.astype(np.int64)
@@ -266,7 +267,7 @@ def _chebyshev(c, ladder, with_u: bool, buf):
     return x, u
 
 
-def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work=None):
+def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work):
     """Single-spin modulation M = 1 - u g for every (spin, record) pair.
 
     With w, m_z and u = m_x^2 from :func:`_spin_axes`, alpha = w tau and
@@ -296,12 +297,10 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     depends on the spin alone, so a caller sums these three record-level
     factors over records first and applies the per-spin chain rule after.
     ``work``, a (``_KERNEL_BUFFERS``, *shape) array, supplies every full-size
-    temporary and holds the results; without it they are allocated.
+    temporary and holds the results.
     """
     w, m_z, u = _spin_axes(a_z, a_perp, omega_l)
-    shape = np.broadcast_shapes(np.shape(w), rec.tau.shape)
-    # fresh arrays from np.empty forever, unless a workspace is handed in
-    buf = iter(work) if work is not None else map(np.empty, itertools.repeat(shape))
+    buf = iter(work)
     t = np.multiply(0.5 * w, rec.tau, out=next(buf))
     np.tan(t, out=t)                                 # tan(alpha / 2)
     numer = np.multiply(t, t, out=next(buf))
@@ -318,7 +317,7 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     np.add(c, 1.0, out=den)
     if den.size and den.min() < 1e-12:
         unstable = den < 1e-12
-        at = lambda v: np.broadcast_to(v, shape)[unstable]
+        at = lambda v: np.broadcast_to(v, den.shape)[unstable]
         half = np.cos(0.5 * (at(w) * at(rec.tau) + at(rec.beta)))
         den[unstable] = np.maximum(2.0 * half * half + (1.0 - at(m_z)) * sasb[unstable], 1e-300)
     inv_den = np.reciprocal(den, out=den)
@@ -351,16 +350,26 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     return m_val, g, tau_dg_da, dg_dmz
 
 
+def _row_blocks(n: int, k: int, m: int):
+    """(rows, workspace) pairs covering n independent rows of (k spins, m records)
+    in blocks of about ``_BLOCK_ELEMS`` triples, which share one workspace: the
+    kernel's buffers, then two for the caller.  Fresh multi-megabyte temporaries
+    would be page-faulted in on every call and evicted from cache.  A row's
+    result does not depend on the block size."""
+    step = max(1, _BLOCK_ELEMS // max(1, k * m))
+    work = np.empty((_KERNEL_BUFFERS + 2, min(step, n), k, m))
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        yield rows, work[:, :rows.stop - lo]
+
+
 def dd_single_spin_term(a_z, a_perp, tau, n_pi, omega_l):
     """Coherence modulation M(A_k, tau, N_pi) of one nuclear spin, in [-1, 1]."""
-    if not np.all(np.asarray(omega_l) > 0):
-        raise ModelError("omega_l must be positive")
-    a_z, a_perp, tau, n_pi, omega_l = (np.asarray(v, dtype=float)
-                                       for v in (a_z, a_perp, tau, n_pi, omega_l))
     shape = np.broadcast(a_z, a_perp, tau, n_pi, omega_l).shape
-    one_d = np.atleast_1d      # the kernel works in place on arrays
-    out = _spin_term_core(one_d(a_z), one_d(a_perp), _dd_records(one_d(tau), one_d(n_pi), omega_l),
-                          omega_l, False).reshape(shape)
+    a_z, a_perp, tau, n_pi, omega_l = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
+                                       for v in (a_z, a_perp, tau, n_pi, omega_l))
+    out = _spin_term_core(a_z, a_perp, _dd_records(tau, n_pi, omega_l), omega_l, False,
+                          np.empty((_KERNEL_BUFFERS, a_z.size))).reshape(shape)
     if np.any(np.isnan(out)):
         raise ModelError(f"spin term is NaN for a_z={a_z}, a_perp={a_perp}, tau={tau}, "
                          f"n_pi={n_pi}, omega_l={omega_l}")
@@ -372,26 +381,26 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
 
     ``couplings`` is one interleaved (A_z, A_perp) vector or a (B, 2K) stack
     of them; a stack gives one row of probabilities per vector, equal to the
-    single-vector calls.
+    single-vector calls.  ``tau`` and ``n_pi`` broadcast against each other.
     """
     a = np.asarray(couplings, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] % 2:
         raise ModelError("couplings must be an (A_z, A_perp) interleaved vector "
                          "or a stack of them")
-    if not np.all(np.asarray(omega_l) > 0):
-        raise ModelError("omega_l must be positive")
-    tau = np.asarray(tau, dtype=float)
-    n_pi = np.asarray(n_pi, dtype=float)
-    # spins on a leading axis, so the product runs over whole record arrays
-    spin = (Ellipsis,) + (None,) * np.broadcast(tau, n_pi).ndim
-    m = _spin_term_core(a[..., 0::2].T[spin], a[..., 1::2].T[spin],
-                        _dd_records(tau, n_pi, omega_l), omega_l, False)
-    prod = m.prod(axis=0)
+    shape = np.broadcast(tau, n_pi).shape
+    tau, n_pi = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (tau, n_pi))
+    rec = _dd_records(tau, n_pi, omega_l)
+    stack = np.atleast_2d(a)
+    prod = np.empty((stack.shape[0], tau.size))
+    for rows, work in _row_blocks(stack.shape[0], stack.shape[1] // 2, tau.size):
+        m = _spin_term_core(stack[rows, 0::2, None], stack[rows, 1::2, None], rec, omega_l,
+                            False, work)
+        m.prod(axis=1, out=prod[rows])
     if np.any(np.isnan(prod)):
         raise ModelError(f"spin term is NaN for couplings={a}, tau={tau}, n_pi={n_pi}")
     envelope = np.exp(-np.power(n_pi * tau * phi.t2_inv, eta_stretch))
     p0 = 0.5 * (1.0 + envelope * prod)
-    p0 = np.clip(p0, 0.0, 1.0)
+    p0 = np.clip(p0, 0.0, 1.0).reshape(a.shape[:-1] + shape)
     return float(p0) if p0.ndim == 0 else p0
 
 
@@ -445,11 +454,7 @@ class DDModel:
         """Summed Gaussian log-likelihood, dA (B, 2K) and dphi (B, 3).
 
         ``grad_weights`` (M,) weight the records in both gradients only.
-        Samples are independent, so the batch runs in blocks of about
-        ``_BLOCK_ELEMS`` (sample, spin, record) triples that share one
-        workspace: fresh multi-megabyte temporaries would be page-faulted in
-        on every call and evicted from cache.  A row's result does not depend
-        on the block size.
+        The samples run in the row blocks of :func:`_row_blocks`.
         """
         a = np.atleast_2d(np.asarray(a, dtype=float))
         if a.shape[1] != self.dim:
@@ -464,13 +469,9 @@ class DDModel:
         ll = np.empty(n)
         grad_a = np.empty_like(a)
         grad_phi = np.empty((n, 3))
-        step = max(1, _BLOCK_ELEMS // max(1, self.k_spins * data.y.size))
-        # one workspace for all blocks: the kernel's buffers, then loo and right
-        work = np.empty((_KERNEL_BUFFERS + 2, min(step, n), self.k_spins, data.y.size))
-        for lo in range(0, n, step):
-            rows = slice(lo, min(lo + step, n))
+        for rows, work in _row_blocks(n, self.k_spins, data.y.size):
             ll[rows], grad_a[rows], grad_phi[rows] = self._block_loglik(
-                data, a[rows], phi, envelope, denv, grad_weights, work[:, :rows.stop - lo])
+                data, a[rows], phi, envelope, denv, grad_weights, work)
         return ll, grad_a, grad_phi
 
     def _block_loglik(self, data: _DDData, a, phi: NuisanceParams, envelope, denv, grad_weights,
@@ -533,7 +534,7 @@ class DDModel:
         return ll, grad_a, grad_phi
 
     def loglik_terms(self, records, couplings, phi: NuisanceParams) -> np.ndarray:
-        """Per-record log-likelihood values for one coupling vector."""
+        """Per-record log-likelihoods of one coupling vector, or (B, M) of a (B, 2K) stack."""
         tau = np.array([r.tau_us for r in records])
         n_pi = np.array([r.n_pi for r in records])
         p1 = 1.0 - np.atleast_1d(self.outcome_prob_zero(tau, n_pi, couplings, phi))

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from . import flows, simulator, smc, trainer
+from . import flows, likelihoods, simulator, smc, trainer
 from .likelihoods import DDModel, NuisanceParams, ToyModel
 from .probcore import RngStream
 from .simulator import (MODEL_DD, MODEL_TOY, ScenarioConfig, omega_larmor,
@@ -162,25 +162,31 @@ def build_model(config: dict):
     return ToyModel(n=mc.get("n_frequencies", 2))
 
 
+def build_prior(config: dict) -> trainer.PriorSpec:
+    """The prior a config fits under: the box [0, 1]^n for the toy model, else improper."""
+    mc = config["model"]
+    if mc["kind"] == MODEL_DD:
+        return trainer.PriorSpec()
+    n = mc.get("n_frequencies", 2)
+    return trainer.PriorSpec(kind="box", low=np.zeros(n), high=np.ones(n))
+
+
 def _train_config(config: dict, seed: int, kind: str) -> trainer.TrainConfig:
     tc = config.get("train", {})
     rc = config.get("regularizer", {})
     if kind == MODEL_DD:
         reg = trainer.RegularizerSpec(kind=rc.get("kind", "l2"), sigma=rc.get("sigma", 1e-3),
                                       trainable=rc.get("trainable", True))
-        prior = trainer.PriorSpec()
         lr0, lr1 = tc.get("lr_start", 1e-3), tc.get("lr_end", 1e-4)
     else:
         reg = trainer.RegularizerSpec(kind=rc.get("kind", "none"), sigma=rc.get("sigma", 1.0),
                                       trainable=rc.get("trainable", False))
-        n = config["model"].get("n_frequencies", 2)
-        prior = trainer.PriorSpec(kind="box", low=np.zeros(n), high=np.ones(n))
         lr0, lr1 = tc.get("lr_start", 1e-2), tc.get("lr_end", 1e-3)
     return trainer.TrainConfig(
         batch=tc.get("batch", 64), steps=tc.get("steps", 2048),
         lr_start=lr0, lr_end=lr1,
         beta1=tc.get("beta1", 0.9), beta2=tc.get("beta2", 0.999), eps=tc.get("eps", 1e-8),
-        seed=tc.get("seed", seed), prior=prior, regularizer=reg,
+        seed=tc.get("seed", seed), prior=build_prior(config), regularizer=reg,
         phi0=NuisanceParams(t2_inv=config["model"].get("T2_inv", 1e-4),
                             chi=1.0 / config["model"].get("repetitions", 1024),
                             eta=config["model"].get("eta0", 1e-2)),
@@ -246,11 +252,11 @@ def greedy_comb_init(records, omega_l, k_max, n_pi, t2_nominal=1e-4,
     available = [float(az_grid[i]) for i in candidates]
     ap_grid = np.arange(0.10, 0.50, 0.04)
 
-    def sse(spins):
-        model = DDModel(k_spins=len(spins), omega_l=omega_l)
-        flat = np.array(spins, dtype=float).ravel()
-        p1 = 1.0 - np.atleast_1d(model.outcome_prob_zero(taus, n_pi, flat, phi))
-        return float(np.sum((ys - p1) ** 2))
+    def sse(spin_sets):
+        """Squared error of the signal under each of equal-size spin sets, in one call."""
+        stack = np.array(spin_sets, dtype=float).reshape(len(spin_sets), -1)
+        p1 = 1.0 - likelihoods.dd_outcome_prob(taus, n_pi, stack, phi, omega_l)
+        return np.sum((ys - p1) ** 2, axis=1)
 
     def comb_az(spin):
         """Where the comb scores place a spin: dips sit at tau_m = (2m-1) pi /
@@ -274,30 +280,25 @@ def greedy_comb_init(records, omega_l, k_max, n_pi, t2_nominal=1e-4,
         comb_b, ap_b = comb_az(spins[j]), spins[j][1]
         for span in (8 * reach, reach):
             fine_comb = comb_b + np.linspace(-span, span, 17)
-            comb_b = float(fine_comb[int(np.argmin([sse(others + [(az_at(c, ap_b), ap_b)])
+            comb_b = float(fine_comb[np.argmin(sse([others + [(az_at(c, ap_b), ap_b)]
                                                     for c in fine_comb]))])
             fine_ap = np.clip(ap_b + np.linspace(-0.04, 0.04, 9), 0.02, 0.55)
-            ap_b = float(fine_ap[int(np.argmin([sse(others + [(az_at(comb_b, a), a)])
+            ap_b = float(fine_ap[np.argmin(sse([others + [(az_at(comb_b, a), a)]
                                                 for a in fine_ap]))])
         return az_at(comb_b, ap_b), ap_b
 
     active = []
-    base = sse(active)
+    base = sse([active])[0]
     for _ in range(k_max):
-        if base <= 1.5 * noise_sse:
+        if base <= 1.5 * noise_sse or not available:
             break
-        best = None
-        for comb in available:
-            for ap in ap_grid:
-                spin = (az_at(comb, float(ap)), float(ap))
-                val = sse(active + [spin])
-                if best is None or val < best[0]:
-                    best = (val, spin)
-        if best is None or (base - best[0]) < rel_floor * base:
+        trial = [(az_at(comb, float(ap)), float(ap)) for comb in available for ap in ap_grid]
+        errors = sse([active + [spin] for spin in trial])
+        best = int(np.argmin(errors))          # the first minimum, as in scan order
+        if (base - errors[best]) < rel_floor * base:
             break
-        active.append(best[1])
-        active[-1] = polish(active, len(active) - 1)
-        base = sse(active)
+        active.append(polish(active + [trial[best]], len(active)))
+        base = sse([active])[0]
         available = [a for a in available if abs(a - comb_az(active[-1])) > 0.012]
 
     def eliminate(spins, ap_shield=0.11):
@@ -311,7 +312,7 @@ def greedy_comb_init(records, omega_l, k_max, n_pi, t2_nominal=1e-4,
             if len(kept) <= 1 or spin[1] >= ap_shield:
                 continue
             without = [s for s in kept if s is not spin]
-            if sse(without) <= max(1.15 * sse(kept), 1.5 * noise_sse):
+            if sse([without])[0] <= max(1.15 * sse([kept])[0], 1.5 * noise_sse):
                 kept = without
         return kept
 
@@ -417,9 +418,8 @@ def bench_pf_rows(config: dict, n_list, seeds):
                                  "seed": seed},
                        "ansatz": {"family": "mean-field"}}
             params, _, _ = fit_dataset(run_cfg, records, seed)
-            prior = trainer.PriorSpec(kind="box", low=np.zeros(n), high=np.ones(n))
             draws, _, _ = flows.sample_batch(params, 2048, RngStream(seed + 13))
-            estimate = prior.transform(draws).mean(axis=0)
+            estimate = build_prior(run_cfg).transform(draws).mean(axis=0)
             rows.append((n, "VBI", seed, smc.sorted_square_error(estimate, truth)))
 
             rows.append((n, "baseline", seed, baseline))

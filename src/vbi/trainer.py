@@ -465,8 +465,7 @@ def surrogate_information_gain(x_control, params: flows.FlowParameters, model,
         if hasattr(model, "record_loglik"):
             ll = model.record_loglik(record, thetas)
         else:
-            eval_phi = phi or NuisanceParams()
-            ll = np.array([model.loglik_terms([record], th, eval_phi).sum() for th in thetas])
+            ll = model.loglik_terms([record], thetas, phi or NuisanceParams())[:, 0]
         variances[j] = float(np.var(ll, ddof=1))
     return float(variances.mean())
 

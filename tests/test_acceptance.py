@@ -6,16 +6,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
-import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from vbi import flows, pipeline, selection, smc, trainer
+from vbi import flows, pipeline, selection, smc
 from vbi.likelihoods import (DDModel, GaussianLocationModel, MeasurementRecord,
-                             NuisanceParams, ToyModel, dd_single_spin_term)
+                             NuisanceParams, dd_single_spin_term)
 from vbi.probcore import RngStream
 from vbi.simulator import (BoundsInput, ScenarioConfig, omega_larmor,
                            rayleigh_bounds, simulate_dataset,

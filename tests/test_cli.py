@@ -9,7 +9,6 @@ import pytest
 
 import vbi
 from vbi import cli, flows
-from vbi.probcore import RngStream
 from vbi.simulator import read_dataset_csv
 
 

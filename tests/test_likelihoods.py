@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,10 +171,33 @@ def test_outcome_prob_stacked_couplings_equal_row_calls(n_pi):
     assert stacked.shape == (33, 512)
     rows = np.stack([lk.dd_outcome_prob(taus, n_pi, a, phi, OMEGA_L) for a in stack])
     assert np.array_equal(stacked, rows)
+    # one record: a stack gives (B,), a single vector a float
+    n_0 = n_pi if np.ndim(n_pi) == 0 else n_pi[0]
+    stacked = lk.dd_outcome_prob(taus[0], n_0, stack, phi, OMEGA_L)
+    assert stacked.shape == (33,)
+    rows = [lk.dd_outcome_prob(taus[0], n_0, a, phi, OMEGA_L) for a in stack]
+    assert all(isinstance(p, float) for p in rows)
+    assert np.array_equal(stacked, rows)
     # the toy model takes a stack of frequency vectors on a leading axis
     omegas = rng.uniform(0.0, 1.0, (33, 4))
     rows = np.stack([lk.toy_outcome_prob(taus, w) for w in omegas])
     assert np.array_equal(lk.toy_outcome_prob(taus, omegas[:, None, :]), rows)
+
+
+def test_outcome_prob_stack_memory_is_blocked():
+    # 256 coupling vectors x 10 spins x 512 records: the kernel runs in row
+    # blocks over one workspace instead of ~11 full (256, 10, 512) arrays
+    rng = RngStream(43)
+    taus = rng.uniform(6.0, 8.5, 512)
+    stack = rng.uniform(-0.4, 0.4, (256, 20))
+    phi = lk.NuisanceParams(t2_inv=1e-4)
+    tracemalloc.start()
+    try:
+        lk.dd_outcome_prob(taus, 32, stack, phi, OMEGA_L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --------------------------------------------------------------------------

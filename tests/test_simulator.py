@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vbi import simulator as sim
-from vbi.errors import ModelError
 from vbi.likelihoods import DDModel, NuisanceParams
 from vbi.probcore import RngStream
 

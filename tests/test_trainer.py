@@ -319,3 +319,26 @@ def test_sig_guards():
         sig = surrogate_information_gain(1.0, degenerate, ToyModel(1), n_y=8, n_theta=8,
                                          rng=RngStream(0))
     assert sig == 0.0
+
+
+def test_sig_dd_model_equals_per_theta_loop():
+    # DDModel has no record_loglik: SIG scores all theta draws in one stacked
+    # loglik_terms call, which must equal scoring them one at a time
+    model = DDModel(k_spins=2, omega_l=omega_larmor(403.0))
+    spec = flows.AnsatzSpec(d=4, family="mean-field")
+    params = flows.init_flow_parameters(spec, np.array([-0.1, 0.3, 0.15, 0.25]),
+                                        np.full(4, 0.01))
+    sig = surrogate_information_gain((7.0, 32), params, model, n_y=8, n_theta=64,
+                                     rng=RngStream(3))
+
+    theta_rng, y_rng = RngStream(3).split(2)
+    thetas, _, _ = flows.sample_batch(params, 64, theta_rng)
+    preds, _, _ = flows.sample_batch(params, 8, y_rng)
+    phi = NuisanceParams()
+    variances = []
+    for pred in preds:
+        record = model.sample_record(y_rng, 7.0, 32, 1, pred, phi)
+        ll = np.array([model.loglik_terms([record], th, phi).sum() for th in thetas])
+        variances.append(float(np.var(ll, ddof=1)))
+    assert sig > 0.0
+    assert sig == float(np.mean(variances))
