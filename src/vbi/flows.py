@@ -36,6 +36,7 @@ STACKED = "stacked"
 FAMILIES = (MEAN_FIELD, FULL_AFFINE, STACKED)
 
 CHECKPOINT_MAGIC = "VBIFLOW1"
+CONDITIONER_STD = 1e-2     # spread of the initial conditioner weights
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,12 @@ class FlowParameters:
         return mask
 
 
-def init_flow_parameters(spec: AnsatzSpec, mu0, scale0, rng: RngStream | None = None,
-                         conditioner_std: float = 1e-2) -> FlowParameters:
+def init_flow_parameters(spec: AnsatzSpec, mu0, scale0,
+                         rng: RngStream | None = None) -> FlowParameters:
     """Near-identity initialization.
 
     mu0 and scale0 are per-dimension location and spread of the initial
-    Gaussian; conditioner weights start at N(0, conditioner_std^2) so the
+    Gaussian; conditioner weights start at N(0, CONDITIONER_STD^2) so the
     autoregressive layers begin close to the identity.
     """
     d = spec.d
@@ -199,11 +200,11 @@ def init_flow_parameters(spec: AnsatzSpec, mu0, scale0, rng: RngStream | None = 
         h = spec.hidden_width
         for _ in range(spec.n_layers):
             layers.append(_LayerParams(
-                w1=conditioner_std * rng.standard_normal((h, d)),
+                w1=CONDITIONER_STD * rng.standard_normal((h, d)),
                 b1=np.zeros(h),
-                wa=conditioner_std * rng.standard_normal((d, h)),
+                wa=CONDITIONER_STD * rng.standard_normal((d, h)),
                 ba=np.zeros(d),
-                wt=conditioner_std * rng.standard_normal((d, h)),
+                wt=CONDITIONER_STD * rng.standard_normal((d, h)),
                 bt=np.zeros(d),
             ))
     return FlowParameters(spec, mu, l_raw, layers)

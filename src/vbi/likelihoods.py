@@ -33,11 +33,6 @@ def variance_floor_count() -> int:
     return _variance_floor_count
 
 
-def reset_variance_floor_count() -> None:
-    global _variance_floor_count
-    _variance_floor_count = 0
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One experiment: controls (tau, n_pi), aggregated outcome y, repetitions."""
@@ -160,12 +155,6 @@ class ToyModel:
         p = 0.5 + np.cos(omega * record.tau_us).sum(axis=1) / (2.0 * self.n)
         p = np.clip(p, 1e-300, 1.0 - 1e-16)
         return c * np.log(p) + (record.repetitions - c) * np.log1p(-p)
-
-    def loglik_terms(self, records, omega, phi=None) -> np.ndarray:
-        data = self.prepare(records)
-        p = np.clip(toy_outcome_prob(data.tau, np.asarray(omega)), 1e-12, 1 - 1e-12)
-        return (data.log_binom + data.counts * np.log(p)
-                + (data.reps - data.counts) * np.log1p(-p))
 
     def sample_record(self, rng, tau: float, omega, repetitions: int) -> MeasurementRecord:
         p = toy_outcome_prob(tau, np.asarray(omega, dtype=float))
@@ -578,10 +567,6 @@ class GaussianLocationModel:
     def record_loglik(self, record: MeasurementRecord, theta: np.ndarray) -> np.ndarray:
         theta = np.atleast_2d(theta)[:, 0]
         return log_gaussian_density(record.y, theta, self.noise_std ** 2)
-
-    def loglik_terms(self, records, theta, phi=None) -> np.ndarray:
-        th = float(np.asarray(theta).reshape(-1)[0])
-        return np.array([log_gaussian_density(r.y, th, self.noise_std ** 2) for r in records])
 
     def sample_record(self, rng, tau: float, theta, repetitions: int = 1) -> MeasurementRecord:
         y = float(np.asarray(theta).reshape(-1)[0] + rng.normal(0.0, self.noise_std))

@@ -56,8 +56,6 @@ _SCHEMA = {
     "train": {
         "batch": int, "steps": int, "lr_start": float, "lr_end": float,
         "beta1": float, "beta2": float, "eps": float, "seed": int,
-        "init_spread": str,          # dd: "matched" (default, greedy comb start),
-                                     # "stratified" or "uniform"
     },
     "regularizer": {"kind": str, "sigma": float, "trainable": bool},
     "selection": {
@@ -116,16 +114,15 @@ def load_config(path) -> dict:
     return config
 
 
-def _ground_truth(model_cfg: dict, seed_override=None) -> np.ndarray:
+def _ground_truth(model_cfg: dict) -> np.ndarray:
+    seed = model_cfg.get("truth_seed", 0)
     if model_cfg["kind"] == MODEL_TOY:
         if "truth_frequencies" in model_cfg:
             return np.asarray(model_cfg["truth_frequencies"], dtype=float)
         n = model_cfg.get("n_frequencies", 2)
-        seed = seed_override if seed_override is not None else model_cfg.get("truth_seed", 0)
         return RngStream(seed).uniform(0.0, 1.0, n)
     if "truth_spins" in model_cfg:
         return np.asarray(model_cfg["truth_spins"], dtype=float).reshape(-1)
-    seed = seed_override if seed_override is not None else model_cfg.get("truth_seed", 0)
     return strongly_coupled_bath(
         model_cfg.get("truth_count", 6),
         RngStream(seed),
@@ -328,43 +325,32 @@ def greedy_comb_init(records, omega_l, k_max, n_pi, t2_nominal=1e-4,
     return active
 
 
-def _dd_init_params(spec: flows.AnsatzSpec, k_spins: int, seed: int, spread: str,
-                    records=None, omega_l: float = None,
-                    n_pi: int = 32) -> flows.FlowParameters:
+def _dd_init_params(spec: flows.AnsatzSpec, k_spins: int, seed: int, records,
+                    omega_l: float, n_pi: int) -> flows.FlowParameters:
     """Initial ansatz for a spin-identification fit.
 
-    ``matched`` (default) warm-starts at the greedy comb fit of the data,
-    leaving surplus spins deep inside the blind zone so the thresholding step
-    prunes them unless the data pulls them up.  ``stratified`` spreads
-    locations evenly; ``uniform`` draws them blindly.
+    Warm-starts at the greedy comb fit of the data, leaving surplus spins
+    deep inside the blind zone so the thresholding step prunes them unless
+    the data pulls them up.
     """
     rng = RngStream(seed)
     k = k_spins
     mu = np.empty(2 * k)
     scale = np.empty(2 * k)
-    if spread == "matched" and records is not None:
-        spins = greedy_comb_init(records, omega_l, k, n_pi)
-        for j in range(k):
-            if j < len(spins):
-                # start sharp: a wide initial spread smears the predicted dips
-                # and the smeared objective favors splitting dips across spins
-                mu[2 * j], mu[2 * j + 1] = spins[j]
-                scale[2 * j], scale[2 * j + 1] = 0.004, 0.012
-            else:
-                # surplus spins sit at zero coupling: their gradients scale
-                # with A_perp, so they stay inert in the blind zone unless the
-                # data genuinely needs them
-                mu[2 * j] = rng.uniform(-0.3, 0.3)
-                mu[2 * j + 1] = 1e-4
-                scale[2 * j], scale[2 * j + 1] = 0.01, 0.003
-    else:
-        if spread == "uniform":
-            mu[0::2] = rng.uniform(-0.27, 0.27, k)
+    spins = greedy_comb_init(records, omega_l, k, n_pi)
+    for j in range(k):
+        if j < len(spins):
+            # start sharp: a wide initial spread smears the predicted dips
+            # and the smeared objective favors splitting dips across spins
+            mu[2 * j], mu[2 * j + 1] = spins[j]
+            scale[2 * j], scale[2 * j + 1] = 0.004, 0.012
         else:
-            mu[0::2] = np.linspace(-0.27, 0.27, k) + rng.uniform(-0.015, 0.015, k)
-        mu[1::2] = rng.uniform(0.08, 0.15, k)
-        scale[0::2] = 0.04
-        scale[1::2] = 0.05
+            # surplus spins sit at zero coupling: their gradients scale
+            # with A_perp, so they stay inert in the blind zone unless the
+            # data genuinely needs them
+            mu[2 * j] = rng.uniform(-0.3, 0.3)
+            mu[2 * j + 1] = 1e-4
+            scale[2 * j], scale[2 * j + 1] = 0.01, 0.003
     return flows.init_flow_parameters(spec, mu, scale,
                                       rng if spec.effective_layers else None)
 
@@ -380,10 +366,8 @@ def fit_dataset(config: dict, records, seed: int):
     d = model.dim if kind == MODEL_DD else model.n
     spec = _ansatz_spec(config, d)
     if kind == MODEL_DD:
-        spread = config.get("train", {}).get("init_spread", "matched")
-        init = _dd_init_params(spec, model.k_spins, tcfg.seed, spread,
-                               records=records, omega_l=model.omega_l,
-                               n_pi=config["model"].get("n_pi", 32))
+        init = _dd_init_params(spec, model.k_spins, tcfg.seed, records, model.omega_l,
+                               config["model"].get("n_pi", 32))
         return trainer.train_from(tcfg, records, model, init)
     return trainer.train(tcfg, records, model, spec)
 

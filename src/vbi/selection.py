@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class PosteriorSampleSet:
 
     z: int
     raw: np.ndarray                      # (Z, 2K) unpruned draws
-    classes: np.ndarray                  # (Z,) spin count per draw
     class_sets: dict                     # n -> list of (n, 2) spin arrays
     probabilities: dict                  # n -> |S_n| / Z
     map_class: int
@@ -64,7 +63,7 @@ def build_sample_set(raw_draws, aperp_threshold: float,
         classes[i] = n
         class_sets.setdefault(n, []).append(spins)
     probs = class_probabilities(classes)
-    return PosteriorSampleSet(z=z, raw=raw, classes=classes, class_sets=class_sets,
+    return PosteriorSampleSet(z=z, raw=raw, class_sets=class_sets,
                               probabilities=probs, map_class=map_class(probs),
                               aperp_threshold=aperp_threshold, az_max=az_max)
 
@@ -225,7 +224,6 @@ class MetricsReport:
     precision: float
     recall: float
     f1: float
-    matches: list = field(default_factory=list)   # (spin index, cluster index, distance)
 
 
 def _match_spins(clusters, truth: np.ndarray, t: float):
@@ -270,8 +268,7 @@ def ml_metrics(clusters, truth, t: float = DEFAULT_MAHALANOBIS_T) -> MetricsRepo
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)) if precision + recall else 0.0
-    return MetricsReport(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall,
-                         f1=f1, matches=matches)
+    return MetricsReport(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1)
 
 
 @dataclass

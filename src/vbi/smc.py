@@ -55,16 +55,16 @@ def pf_update(ens: ParticleEnsemble, record, model) -> ParticleEnsemble:
     """
     log_w = np.log(ens.weights + 1e-300) + model.record_loglik(record, ens.particles)
     top = np.max(log_w)
-    resets = ens.degenerate_resets
     if not np.isfinite(top):
         # all weights underflowed: reset to uniform and flag it
         weights = np.full(ens.n_particles, 1.0 / ens.n_particles)
-        return replace(ens, weights=weights, degenerate_resets=resets + 1)
+        return replace(ens, weights=weights, degenerate_resets=ens.degenerate_resets + 1)
     w = np.exp(log_w - top)
     w /= w.sum()
 
-    if 1.0 / np.sum(w ** 2) >= ens.n_particles / 2.0:
-        return replace(ens, weights=w, degenerate_resets=resets)
+    reweighted = replace(ens, weights=w)
+    if reweighted.ess() >= ens.n_particles / 2.0:
+        return reweighted
 
     mean = w @ ens.particles
     centered = ens.particles - mean
@@ -76,8 +76,7 @@ def pf_update(ens: ParticleEnsemble, record, model) -> ParticleEnsemble:
     jitter = ens.rng.multivariate_normal(np.zeros(d), h2 * cov + 1e-30 * np.eye(d),
                                          size=ens.n_particles)
     return replace(ens, particles=shrunk + jitter,
-                   weights=np.full(ens.n_particles, 1.0 / ens.n_particles),
-                   degenerate_resets=resets)
+                   weights=np.full(ens.n_particles, 1.0 / ens.n_particles))
 
 def pf_run(ens: ParticleEnsemble, records, model) -> ParticleEnsemble:
     """Process records in ascending-tau order (coarse to fine)."""

@@ -11,7 +11,6 @@ its maximizer on every batch.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,9 +31,9 @@ _REG_KINDS = (REG_NONE, REG_L1, REG_L2)
 class RegularizerSpec:
     """Sparsifying prior factor: Laplace (l1), Gaussian (l2), or none.
 
-    A ``trainable`` scale is not stepped by the optimizer: every ELBO batch
-    sets it to its maximizer on that batch (see :func:`_fitted_sigma`), and
-    ``sigma`` is then unused.
+    A ``trainable`` scale has no gradient and is not stepped by the
+    optimizer: every ELBO batch sets it to its maximizer on that batch (see
+    :func:`_fitted_sigma`), and ``sigma`` is then unused.
     """
 
     kind: str = REG_NONE
@@ -52,9 +51,9 @@ def _fitted_sigma(theta2d: np.ndarray, kind: str) -> float:
     """Scale that maximizes the batch-mean log regularizer.
 
     l2: sigma^2 = mean |theta|_2^2 / d;  l1: sigma = mean |theta|_1 / d.
-    This is the stationary point of the sigma-gradient below, so a trained
-    scale needs no optimizer steps (from 1e-2 to its desk-scale optimum of
-    about 0.2 it would have to travel 3 nats).
+    These are where the sigma-derivative of the batch-mean log regularizer
+    vanishes, so a trained scale needs no optimizer steps (from 1e-2 to its
+    desk-scale optimum of about 0.2 it would have to travel 3 nats).
     """
     d = theta2d.shape[1]
     if kind == REG_L2:
@@ -63,21 +62,19 @@ def _fitted_sigma(theta2d: np.ndarray, kind: str) -> float:
 
 
 def _regularizer_terms(theta2d: np.ndarray, kind: str, sigma: float):
-    """Batched value, d/dtheta, and d/dsigma of the log regularizer."""
+    """Batched value and d/dtheta of the log regularizer."""
     b, d = theta2d.shape
     if kind == REG_NONE:
-        return np.zeros(b), np.zeros_like(theta2d), np.zeros(b)
+        return np.zeros(b), np.zeros_like(theta2d)
     if kind == REG_L1:
         l1 = np.abs(theta2d).sum(axis=1)
         val = -d * math.log(2.0 * sigma) - l1 / sigma
         dtheta = -np.sign(theta2d) / sigma
-        dsigma = -d / sigma + l1 / sigma ** 2
     else:
         l2 = (theta2d * theta2d).sum(axis=1)
         val = -0.5 * d * math.log(2.0 * math.pi * sigma ** 2) - l2 / (2.0 * sigma ** 2)
         dtheta = -theta2d / sigma ** 2
-        dsigma = -d / sigma + l2 / sigma ** 3
-    return val, dtheta, dsigma
+    return val, dtheta
 
 
 def _logistic(x):
@@ -93,6 +90,10 @@ def _logistic(x):
 # ---------------------------------------------------------------------------
 # priors over the physical parameters
 # ---------------------------------------------------------------------------
+
+# slope of a box prior's softplus clamp; the clamp moves samples inside the
+# box by at most log(2) / BOX_SHARPNESS (at the edges)
+BOX_SHARPNESS = 60.0
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,18 @@ class PriorSpec:
     high: np.ndarray | None = None
     mean: np.ndarray | None = None
     var: np.ndarray | None = None
-    sharpness: float = 60.0
 
     def transform(self, theta: np.ndarray) -> np.ndarray:
         if self.kind != "box":
             return theta
-        k = self.sharpness
+        k = BOX_SHARPNESS
         lo, hi = np.asarray(self.low, dtype=float), np.asarray(self.high, dtype=float)
         return lo + (softplus(k * (theta - lo)) - softplus(k * (theta - hi))) / k
 
     def transform_grad(self, theta: np.ndarray) -> np.ndarray:
         if self.kind != "box":
             return np.ones_like(theta)
-        k = self.sharpness
+        k = BOX_SHARPNESS
         lo, hi = np.asarray(self.low, dtype=float), np.asarray(self.high, dtype=float)
         return _logistic(k * (theta - lo)) - _logistic(k * (theta - hi))
 
@@ -159,22 +159,19 @@ class ElboEstimate:
     value: float
     grad_flow: np.ndarray
     grad_phi: np.ndarray        # w.r.t. the positive nuisance values
-    grad_sigma: float           # w.r.t. the regularizer scale
     sigma: float                # regularizer scale used for this batch
-    per_sample: np.ndarray = field(repr=False, default=None)
 
 
 def estimate_elbo(params: flows.FlowParameters, data, model, prior: PriorSpec,
                   reg: RegularizerSpec, batch: int, rng: RngStream, *,
                   phi: NuisanceParams | None = None,
-                  reg_sigma: float | None = None,
                   record_weights: np.ndarray | None = None) -> ElboEstimate:
     """Single-batch pathwise estimate of the regularized ELBO and its gradients.
 
     The same theta-batch feeds likelihood, prior, regularizer and entropy
-    terms.  ``data`` is the model's prepared dataset.  ``reg_sigma`` overrides
-    the spec's scale; otherwise a trainable scale is fitted to the batch by
-    :func:`_fitted_sigma`.  ``record_weights`` (one per record) weight the
+    terms.  ``data`` is the model's prepared dataset.  A trainable
+    regularizer scale is fitted to the batch by :func:`_fitted_sigma` and
+    gets no gradient.  ``record_weights`` (one per record) weight the
     likelihood in the gradients only; the value is always the ELBO of the
     whole dataset.
     """
@@ -187,13 +184,11 @@ def estimate_elbo(params: flows.FlowParameters, data, model, prior: PriorSpec,
     loglik, dll_dtheta, dll_dphi = model.batch_loglik(data, theta, phi,
                                                       grad_weights=record_weights)
     logpi, dpi_dtheta = prior.log_density_terms(theta)
-    if reg_sigma is not None:
-        sigma = reg_sigma
-    elif reg.trainable and reg.kind != REG_NONE:
+    if reg.trainable and reg.kind != REG_NONE:
         sigma = _fitted_sigma(theta, reg.kind)
     else:
         sigma = reg.sigma
-    logr, dr_dtheta, dr_dsigma = _regularizer_terms(theta, reg.kind, sigma)
+    logr, dr_dtheta = _regularizer_terms(theta, reg.kind, sigma)
 
     per_sample = logpi + logr + loglik - log_q
     if not np.all(np.isfinite(per_sample)):
@@ -210,9 +205,7 @@ def estimate_elbo(params: flows.FlowParameters, data, model, prior: PriorSpec,
     dlogq = -np.ones(batch) / batch
     grad_flow = flows.backward_batch(cache, dtheta_raw, dlogq, params)
     grad_phi = dll_dphi.mean(axis=0) if model.n_nuisance else np.zeros(0)
-    grad_sigma = float(dr_dsigma.mean())
-    return ElboEstimate(value=value, grad_flow=grad_flow, grad_phi=grad_phi,
-                        grad_sigma=grad_sigma, sigma=sigma, per_sample=per_sample)
+    return ElboEstimate(value=value, grad_flow=grad_flow, grad_phi=grad_phi, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +249,6 @@ class TrainTrace:
     lr: np.ndarray
     phi: np.ndarray              # (I, 3) transformed nuisance values
     reg_sigma: np.ndarray        # (I,)
-    wall_time: float = 0.0
 
     def smoothed_elbo(self, window: int | None = None) -> float:
         n = self.elbo.size
@@ -365,7 +357,6 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
     The reported ``trace.elbo`` is always the ELBO of the whole dataset; the
     likelihood schedule only weights the records' gradients.
     """
-    t_start = time.perf_counter()
     rng = RngStream(config.seed)
     _, step_rng = rng.split(2)
     params = init_params
@@ -420,12 +411,10 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
                 trace.lr = trace.lr[:i]
                 trace.phi = trace.phi[:i]
                 trace.reg_sigma = trace.reg_sigma[:i]
-                trace.wall_time = time.perf_counter() - t_start
                 raise TrainingDiverged(i, smoothed, trace)
 
     params = params.from_vector(x[:n_flow])
     phi = _raw_to_phi(x[n_flow:]) if train_phi else NuisanceParams()
-    trace.wall_time = time.perf_counter() - t_start
     return params, phi, trace
 
 

@@ -44,12 +44,16 @@ def toy_config():
 # --------------------------------------------------------------------------
 
 
-def test_unknown_key_rejected(tmp_path, capsys):
-    path = write_config(tmp_path, {"model": {"kind": "dd", "B_gauss": 403.0,
-                                             "banana": 1}})
+@pytest.mark.parametrize("config,key", [
+    ({"model": {"kind": "dd", "B_gauss": 403.0, "banana": 1}}, "model.banana"),
+    ({"model": {"kind": "dd", "B_gauss": 403.0}, "train": {"init_spread": "matched"}},
+     "train.init_spread"),
+], ids=["model.banana", "train.init_spread"])
+def test_unknown_key_rejected(tmp_path, capsys, config, key):
+    path = write_config(tmp_path, config)
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "model.banana" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_missing_b_gauss_names_field(tmp_path, capsys):

@@ -219,7 +219,6 @@ def test_gaussian_outcome_loglik_eta_only():
 
 
 def test_gaussian_outcome_variance_floor_flagged():
-    lk.reset_variance_floor_count()
     before = lk.variance_floor_count()
     val = lk.gaussian_outcome_loglik(0.3, 1.0, 0.0, 0.0)
     assert lk.variance_floor_count() == before + 1

@@ -9,8 +9,9 @@ from vbi.likelihoods import (DDModel, GaussianLocationModel, MeasurementRecord,
                              NuisanceParams, ToyModel)
 from vbi.probcore import RngStream
 from vbi.simulator import omega_larmor
-from vbi.trainer import (PriorSpec, RegularizerSpec, TrainConfig, _regularizer_terms,
-                         estimate_elbo, surrogate_information_gain, train)
+from vbi.trainer import (PriorSpec, RegularizerSpec, TrainConfig, _fitted_sigma,
+                         _regularizer_terms, estimate_elbo, surrogate_information_gain,
+                         train)
 
 OMEGA_L = omega_larmor(403.0)
 LOG_EVIDENCE = -0.5 * math.log(4 * math.pi)  # conjugate instance, -1.26551...
@@ -31,23 +32,36 @@ def conjugate_setup(steps=1200, seed=3):
 
 
 def test_log_regularizer_l1_at_origin():
-    val, _, _ = _regularizer_terms(np.zeros((1, 2)), "l1", 1.0)
+    val, _ = _regularizer_terms(np.zeros((1, 2)), "l1", 1.0)
     assert val[0] == pytest.approx(math.log(0.25), abs=1e-12)
 
 
 def test_log_regularizer_l2_at_origin():
-    val, _, _ = _regularizer_terms(np.zeros((1, 1)), "l2", 1.0)
+    val, _ = _regularizer_terms(np.zeros((1, 1)), "l2", 1.0)
     assert val[0] == pytest.approx(-0.918938533, abs=1e-9)
 
 
 def test_log_regularizer_l1_arithmetic():
-    val, _, _ = _regularizer_terms(np.array([[1.0, -1.0]]), "l1", 0.5)
+    val, _ = _regularizer_terms(np.array([[1.0, -1.0]]), "l1", 0.5)
     assert val[0] == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_log_regularizer_needs_positive_scale():
     with pytest.raises(ValueError):
         RegularizerSpec("l1", 0.0)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+def test_fitted_sigma_maximizes_batch_regularizer(kind):
+    theta = RngStream(5).normal(0.0, 0.2, (64, 6))
+    sigma = _fitted_sigma(theta, kind)
+
+    def batch_mean(s):
+        return _regularizer_terms(theta, kind, s)[0].mean()
+
+    best = batch_mean(sigma)
+    assert best >= batch_mean(sigma * (1 + 1e-3))
+    assert best >= batch_mean(sigma * (1 - 1e-3))
 
 
 # --------------------------------------------------------------------------
@@ -110,12 +124,11 @@ def test_elbo_gradients_match_finite_differences(family, k_spins, reg_kind):
     prior = PriorSpec()
     seed, batch = 1234, 4
 
-    def value(vec, phi_vals=None, sigma=None):
+    def value(vec, phi_vals=None):
         est = estimate_elbo(params.from_vector(vec), data, model, prior, reg, batch,
                             RngStream(seed),
                             phi=NuisanceParams(*(phi_vals if phi_vals is not None
-                                                 else phi.as_array())),
-                            reg_sigma=sigma)
+                                                 else phi.as_array())))
         return est.value
 
     est = estimate_elbo(params, data, model, prior, reg, batch, RngStream(seed), phi=phi)
@@ -135,8 +148,6 @@ def test_elbo_gradients_match_finite_differences(family, k_spins, reg_kind):
         dn[j] -= h
         fd = (value(v0, phi_vals=up) - value(v0, phi_vals=dn)) / (2 * h)
         assert abs(est.grad_phi[j] - fd) / max(abs(fd), 1e-6) < 1e-4
-    fd_sigma = (value(v0, sigma=reg.sigma + h) - value(v0, sigma=reg.sigma - h)) / (2 * h)
-    assert est.grad_sigma == pytest.approx(fd_sigma, rel=1e-4, abs=1e-8)
 
 
 def test_elbo_gradients_with_box_prior_squash():
