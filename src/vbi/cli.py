@@ -35,6 +35,11 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _train_seed(args, config: dict) -> int:
+    """--seed, else the config's train.seed, else 0."""
+    return args.seed if args.seed is not None else config.get("train", {}).get("seed", 0)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -43,8 +48,7 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else config.get("train", {}).get("seed", 0)
-    scenario = pipeline.scenario(config, seed)
+    scenario = pipeline.scenario(config, _train_seed(args, config))
     records = simulate_dataset(scenario)
     write_dataset_csv(out / "dataset.csv", records)
     if scenario.kind == MODEL_DD:
@@ -68,11 +72,11 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     records = read_dataset_csv(args.dataset)
     kind = config["model"]["kind"]
-    n_pi_expected = config["model"].get("n_pi", 32) if kind == MODEL_DD else 1
+    n_pi_expected = pipeline.model_setting(config, "n_pi") if kind == MODEL_DD else 1
     if any(r.n_pi != n_pi_expected for r in records):
         raise ConfigError(f"dataset n_pi column does not match the {kind} model "
                           f"(expected {n_pi_expected})")
-    seed = args.seed if args.seed is not None else config.get("train", {}).get("seed", 0)
+    seed = _train_seed(args, config)
     try:
         params, phi, trace = pipeline.fit_dataset(config, records, seed)
     except TrainingDiverged as err:
@@ -93,28 +97,22 @@ def cmd_select(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args)
     params, extra = flows.load_checkpoint(args.checkpoint)
-    sc = config.get("selection", {})
-    draws = sc.get("draws", selection.DEFAULT_DRAWS)
-    if draws < 1:
+    sc = pipeline.selection_settings(config)
+    if sc["draws"] < 1:
         raise ConfigError("selection.draws must be >= 1")
     seed = args.seed if args.seed is not None else 0
-    theta, _, _ = flows.sample_batch(params, draws, RngStream(seed))
-    sample_set = selection.build_sample_set(
-        theta, sc.get("aperp_threshold_mhz", selection.DEFAULT_APERP_THRESHOLD),
-        sc.get("az_max_mhz", selection.DEFAULT_AZ_MAX))
+    theta, _, _ = flows.sample_batch(params, sc["draws"], RngStream(seed))
+    sample_set = selection.build_sample_set(theta, sc["aperp_threshold_mhz"], sc["az_max_mhz"])
     clusters = []
     if sample_set.map_class > 0:
         points = selection.marginalize_spins(sample_set.class_sets[sample_set.map_class])
-        clusters = selection.cluster_spins(points, sample_set.map_class,
-                                           seed=sc.get("cluster_seed", 0))
+        clusters = selection.cluster_spins(points, sample_set.map_class, seed=sc["cluster_seed"])
     metrics = errors = None
     if args.ground_truth:
         truth, _, _ = read_truth_json(args.ground_truth)
         truth = np.column_stack([truth[:, 0], np.abs(truth[:, 1])])
-        metrics = selection.ml_metrics(clusters, truth,
-                                       sc.get("mahalanobis_t", selection.DEFAULT_MAHALANOBIS_T))
-        errors = selection.hyperfine_errors(clusters, truth,
-                                            sc.get("mahalanobis_t", selection.DEFAULT_MAHALANOBIS_T))
+        metrics = selection.ml_metrics(clusters, truth, sc["mahalanobis_t"])
+        errors = selection.hyperfine_errors(clusters, truth, sc["mahalanobis_t"])
     report = selection.selection_report(sample_set, clusters, metrics, errors)
     selection.write_report(out / "selection.json", report)
     selection.write_samples_csv(out / "samples.csv", sample_set)
@@ -176,15 +174,14 @@ def cmd_plotdata(args) -> int:
         for r, yf, ys in zip(records, y_fit, y_std):
             fh.write(f"{r.tau_us * 1e-6!r},{float(r.y)!r},{float(yf)!r},{float(ys)!r}\n")
     if kind == MODEL_DD:
-        sc = config.get("selection", {})
+        sc = pipeline.selection_settings(config)
         theta_cloud, _, _ = flows.sample_batch(params, max(n_draws, 1024),
                                                RngStream((args.seed or 0) + 1))
         with open(out / "posterior_scatter.csv", "w") as fh:
             fh.write("az_mhz,aperp_mhz\n")
             for th in theta_cloud:
-                _, spins = selection.threshold_and_prune(
-                    th, sc.get("aperp_threshold_mhz", selection.DEFAULT_APERP_THRESHOLD),
-                    sc.get("az_max_mhz", selection.DEFAULT_AZ_MAX))
+                _, spins = selection.threshold_and_prune(th, sc["aperp_threshold_mhz"],
+                                                         sc["az_max_mhz"])
                 for az, ap in spins:
                     fh.write(f"{float(az)!r},{float(ap)!r}\n")
     print(f"wrote {out / 'signal.csv'} ({len(records)} rows)")

@@ -8,10 +8,9 @@ class NumericOverflowError(ArithmeticError):
         layer: index of the offending layer ("affine" for the final affine map).
     """
 
-    def __init__(self, layer, detail: str = ""):
+    def __init__(self, layer):
         self.layer = layer
-        msg = f"non-finite value in flow layer {layer}"
-        super().__init__(msg + (f": {detail}" if detail else ""))
+        super().__init__(f"non-finite value in flow layer {layer}")
 
 
 class ContractViolation(RuntimeError):

@@ -404,9 +404,13 @@ def load_checkpoint(path):
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
-    spec = AnsatzSpec(d=payload["d"], family=payload["family"],
-                      n_layers=payload["n_layers"], hidden_width=payload["hidden_width"])
+    try:
+        spec = AnsatzSpec(d=payload["d"], family=payload["family"],
+                          n_layers=payload["n_layers"], hidden_width=payload["hidden_width"])
+        vector = np.asarray(payload["params"], dtype=float)
+    except KeyError as err:
+        raise ValueError(f"checkpoint {path} lacks field {err.args[0]!r}") from None
     template = init_flow_parameters(spec, np.zeros(spec.d), np.ones(spec.d),
                                     rng=RngStream(0) if spec.effective_layers else None)
-    params = template.from_vector(np.asarray(payload["params"], dtype=float))
+    params = template.from_vector(vector)
     return params, payload.get("extra", {})

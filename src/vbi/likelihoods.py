@@ -86,14 +86,18 @@ def gaussian_outcome_loglik(y, p, chi, eta):
 # ---------------------------------------------------------------------------
 
 
+def _toy_prob(phase):
+    """p = 1/2 + (1/2n) sum_i cos(phase_i), the phases omega_i tau along the last axis."""
+    return 0.5 + np.cos(phase).sum(axis=-1) / (2.0 * phase.shape[-1])
+
+
 def toy_outcome_prob(tau, omega):
     """p(+1 | tau, omega) = 1/2 + (1/2n) sum_i cos(omega_i tau)."""
     omega = np.asarray(omega, dtype=float)
     if omega.size == 0:
         raise ModelError("toy model needs at least one frequency")
-    n = omega.shape[-1]
     tau = np.asarray(tau, dtype=float)
-    p = 0.5 + np.cos(omega * tau[..., None]).sum(axis=-1) / (2.0 * n)
+    p = _toy_prob(omega * tau[..., None])
     return float(p) if p.ndim == 0 else p
 
 
@@ -137,8 +141,7 @@ class ToyModel:
         """
         omega = np.atleast_2d(omega)
         arg = omega[:, None, :] * data.tau[None, :, None]        # (B, M, n)
-        p = 0.5 + np.cos(arg).sum(axis=2) / (2.0 * self.n)       # (B, M)
-        p = np.clip(p, 1e-12, 1.0 - 1e-12)
+        p = np.clip(_toy_prob(arg), 1e-12, 1.0 - 1e-12)         # (B, M)
         ll = (data.log_binom + data.counts * np.log(p)
               + (data.reps - data.counts) * np.log1p(-p)).sum(axis=1)
         dll_dp = data.counts / p - (data.reps - data.counts) / (1.0 - p)   # (B, M)
@@ -152,8 +155,7 @@ class ToyModel:
         """Per-hypothesis log-likelihood of one record; used by the particle filter."""
         omega = np.atleast_2d(omega)
         c = round(record.y * record.repetitions)
-        p = 0.5 + np.cos(omega * record.tau_us).sum(axis=1) / (2.0 * self.n)
-        p = np.clip(p, 1e-300, 1.0 - 1e-16)
+        p = np.clip(_toy_prob(omega * record.tau_us), 1e-300, 1.0 - 1e-16)
         return c * np.log(p) + (record.repetitions - c) * np.log1p(-p)
 
     def sample_record(self, rng, tau: float, omega, repetitions: int) -> MeasurementRecord:

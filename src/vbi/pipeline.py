@@ -3,9 +3,10 @@ fit-side algorithms behind ``vbi fit`` and ``vbi bench-pf``.
 
 A run config is JSON with a strict schema (:func:`load_config`); unknown keys
 are rejected with the offending path so typos never silently fall back to
-defaults.  :func:`fit_dataset` is the config-driven fit: it builds the model,
-the training settings and the initial ansatz from a config and trains the
-posterior on a dataset.  Spin-identification fits start at the greedy comb
+defaults.  A key a config leaves out takes the default of the library object
+it sets (``ScenarioConfig``, ``TrainConfig``, ...).  :func:`fit_dataset` is
+the config-driven fit: it builds the model, the training settings and the
+initial ansatz from a config and trains the posterior on a dataset.  Spin-identification fits start at the greedy comb
 fit of the data (:func:`greedy_comb_init`).
 """
 
@@ -16,16 +17,54 @@ import math
 
 import numpy as np
 
-from . import flows, likelihoods, simulator, smc, trainer
+from . import flows, likelihoods, selection, simulator, smc, trainer
 from .likelihoods import DDModel, NuisanceParams, ToyModel
 from .probcore import RngStream
 from .simulator import (MODEL_DD, MODEL_TOY, ScenarioConfig, omega_larmor,
                         strongly_coupled_bath)
 
+# Defaults of the model keys that neither ScenarioConfig nor strongly_coupled_bath
+# owns; each scenario or bath key defaults to that field or parameter.
+DEFAULT_N_FREQUENCIES = 2        # model.n_frequencies
+DEFAULT_TRUTH_COUNT = 6          # model.truth_count, and model.ansatz_spins unless set
+
+# Model keys that set the simulated scenario; the ScenarioConfig field of each
+# is the key in lower case.
+_SCENARIO_KEYS = ("m_points", "repetitions", "n_pi", "B_gauss", "T2_inv", "eta0",
+                  "eta_stretch", "tau_min_us", "tau_max_us", "log_tau_range")
+_BATH_KEYS = ("az_range", "aperp_range", "min_delta_az")
+
+# Greedy comb init (greedy_comb_init and matched_filter_az_scores)
+GREEDY_T2_INV = 1e-4             # nominal decoherence rate of the candidate signals
+GREEDY_ETA0 = 1e-2               # nominal readout noise in the shot-noise floor
+GREEDY_REL_FLOOR = 0.02          # least relative error cut that admits another spin
+AZ_SCAN = (-0.32, 0.32)          # A_z window of the matched-filter scan
+AZ_SCAN_POINTS = 600
+POLISH_REACH = 3e-3              # fine comb-position step of a spin's refinement
+AP_SHIELD = 0.11                 # spins with A_perp above this are never eliminated
+
 
 class ConfigError(Exception):
     """A run config, or an input that does not match it, is invalid."""
 
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+# list-valued keys: (what the list must be, the check of the list)
+_RANGE = ("two numbers", _is_pair)
+_NUMBERS = ("a list of numbers", lambda v: all(map(_is_number, v)))
+_INTS = ("a list of integers", lambda v: all(map(_is_int, v)))
+_PAIRS = ("a list of [A_z, A_perp] number pairs", lambda v: all(map(_is_pair, v)))
 
 _SCHEMA = {
     "model": {
@@ -41,16 +80,16 @@ _SCHEMA = {
         "tau_max_us": float,
         "m_points": int,
         "repetitions": int,
-        "truth_spins": list,         # [[Az, Aperp], ...] explicit ground truth
+        "truth_spins": _PAIRS,       # explicit ground truth
         "truth_seed": int,           # or a generated strongly-coupled bath
         "truth_count": int,
-        "az_range": list,
-        "aperp_range": list,
+        "az_range": _RANGE,
+        "aperp_range": _RANGE,
         "min_delta_az": float,
         # toy
         "n_frequencies": int,
-        "log_tau_range": list,
-        "truth_frequencies": list,
+        "log_tau_range": _RANGE,
+        "truth_frequencies": _NUMBERS,
     },
     "ansatz": {"family": str, "n_layers": int, "hidden_width": int},
     "train": {
@@ -62,7 +101,7 @@ _SCHEMA = {
         "aperp_threshold_mhz": float, "az_max_mhz": float,
         "mahalanobis_t": float, "draws": int, "cluster_seed": int,
     },
-    "bench": {"n_list": list, "seeds": list, "n_particles": int,
+    "bench": {"n_list": _INTS, "seeds": _INTS, "n_particles": int,
               "batch": int, "steps": int, "lr_start": float, "lr_end": float,
               "trials": int},
     "plot": {"draws": int},
@@ -83,8 +122,12 @@ def _validate(config: dict, schema=None, path="") -> None:
         expected = schema[key]
         if isinstance(expected, dict):
             _validate(value, expected, here)
+        elif isinstance(expected, tuple):
+            what, check = expected
+            if not (isinstance(value, list) and check(value)):
+                raise ConfigError(f"{here} must be {what}")
         elif expected is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ConfigError(f"{here} must be a number")
         elif not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
             raise ConfigError(f"{here} must be {expected.__name__}")
@@ -106,6 +149,8 @@ def load_config(path) -> dict:
     kind = config["model"]["kind"]
     if kind not in (MODEL_DD, MODEL_TOY):
         raise ConfigError(f"model.kind must be 'dd' or 'toy', got {kind!r}")
+    if model_setting(config, "repetitions") < 1:
+        raise ConfigError("model.repetitions must be >= 1")
     if kind == MODEL_DD:
         for field in _REQUIRED_DD:
             section, key = field.split(".")
@@ -114,49 +159,48 @@ def load_config(path) -> dict:
     return config
 
 
+def _set_keys(section: dict, keys) -> dict:
+    """The given keys a config section sets, lower-cased, list values as tuples."""
+    return {key.lower(): tuple(section[key]) if isinstance(section[key], list) else section[key]
+            for key in keys if key in section}
+
+
+def model_setting(config: dict, key: str):
+    """A scenario key of the model section, or its ScenarioConfig default."""
+    return config["model"].get(key, getattr(ScenarioConfig, key.lower()))
+
+
 def _ground_truth(model_cfg: dict) -> np.ndarray:
     seed = model_cfg.get("truth_seed", 0)
     if model_cfg["kind"] == MODEL_TOY:
         if "truth_frequencies" in model_cfg:
             return np.asarray(model_cfg["truth_frequencies"], dtype=float)
-        n = model_cfg.get("n_frequencies", 2)
+        n = model_cfg.get("n_frequencies", DEFAULT_N_FREQUENCIES)
         return RngStream(seed).uniform(0.0, 1.0, n)
     if "truth_spins" in model_cfg:
         return np.asarray(model_cfg["truth_spins"], dtype=float).reshape(-1)
-    return strongly_coupled_bath(
-        model_cfg.get("truth_count", 6),
-        RngStream(seed),
-        az_range=tuple(model_cfg.get("az_range", (-0.3, 0.3))),
-        aperp_range=tuple(model_cfg.get("aperp_range", (0.1, 0.5))),
-        min_delta_az=model_cfg.get("min_delta_az", 0.03),
-    )
+    return strongly_coupled_bath(model_cfg.get("truth_count", DEFAULT_TRUTH_COUNT),
+                                 RngStream(seed), **_set_keys(model_cfg, _BATH_KEYS))
 
 
 def scenario(config: dict, seed: int) -> ScenarioConfig:
-    """The simulation scenario of a config's model section."""
+    """The simulation scenario of a config's model section.
+
+    Keys the config does not set keep their ScenarioConfig defaults.
+    """
     mc = config["model"]
-    theta = _ground_truth(mc)
-    common = dict(m_points=mc.get("m_points", 512), repetitions=mc.get("repetitions", 1024),
-                  seed=seed)
-    if mc["kind"] == MODEL_DD:
-        return ScenarioConfig(kind=MODEL_DD, theta_true=theta,
-                              n_pi=mc.get("n_pi", 32), b_gauss=mc["B_gauss"],
-                              t2_inv=mc.get("T2_inv", 1e-4), eta0=mc.get("eta0", 1e-2),
-                              eta_stretch=mc.get("eta_stretch", 1.0),
-                              tau_min_us=mc.get("tau_min_us", 6.0),
-                              tau_max_us=mc.get("tau_max_us", 8.5), **common)
-    return ScenarioConfig(kind=MODEL_TOY, theta_true=theta,
-                          log_tau_range=tuple(mc.get("log_tau_range", (-1.0, 4.0))), **common)
+    return ScenarioConfig(kind=mc["kind"], theta_true=_ground_truth(mc), seed=seed,
+                          **_set_keys(mc, _SCENARIO_KEYS))
 
 
 def build_model(config: dict):
     """The likelihood model (DDModel or ToyModel) a config fits."""
     mc = config["model"]
     if mc["kind"] == MODEL_DD:
-        return DDModel(k_spins=mc.get("ansatz_spins", mc.get("truth_count", 6)),
+        return DDModel(k_spins=mc.get("ansatz_spins", mc.get("truth_count", DEFAULT_TRUTH_COUNT)),
                        omega_l=omega_larmor(mc["B_gauss"]),
-                       eta_stretch=mc.get("eta_stretch", 1.0))
-    return ToyModel(n=mc.get("n_frequencies", 2))
+                       eta_stretch=model_setting(config, "eta_stretch"))
+    return ToyModel(n=mc.get("n_frequencies", DEFAULT_N_FREQUENCIES))
 
 
 def build_prior(config: dict) -> trainer.PriorSpec:
@@ -164,40 +208,38 @@ def build_prior(config: dict) -> trainer.PriorSpec:
     mc = config["model"]
     if mc["kind"] == MODEL_DD:
         return trainer.PriorSpec()
-    n = mc.get("n_frequencies", 2)
+    n = mc.get("n_frequencies", DEFAULT_N_FREQUENCIES)
     return trainer.PriorSpec(kind="box", low=np.zeros(n), high=np.ones(n))
 
 
+def selection_settings(config: dict) -> dict:
+    """The selection section with every key it leaves unset at its default."""
+    return {"aperp_threshold_mhz": selection.DEFAULT_APERP_THRESHOLD,
+            "az_max_mhz": selection.DEFAULT_AZ_MAX,
+            "mahalanobis_t": selection.DEFAULT_MAHALANOBIS_T,
+            "draws": selection.DEFAULT_DRAWS, "cluster_seed": 0,
+            **config.get("selection", {})}
+
+
 def _train_config(config: dict, seed: int, kind: str) -> trainer.TrainConfig:
-    tc = config.get("train", {})
-    rc = config.get("regularizer", {})
+    """TrainConfig and RegularizerSpec defaults are the config defaults, except
+    that a spin-identification fit defaults to a trainable l2 prior factor and a
+    toy fit to a larger learning rate."""
+    tc, rc = config.get("train", {}), config.get("regularizer", {})
     if kind == MODEL_DD:
-        reg = trainer.RegularizerSpec(kind=rc.get("kind", "l2"), sigma=rc.get("sigma", 1e-3),
-                                      trainable=rc.get("trainable", True))
-        lr0, lr1 = tc.get("lr_start", 1e-3), tc.get("lr_end", 1e-4)
+        rc = {"kind": "l2", "sigma": 1e-3, "trainable": True, **rc}
     else:
-        reg = trainer.RegularizerSpec(kind=rc.get("kind", "none"), sigma=rc.get("sigma", 1.0),
-                                      trainable=rc.get("trainable", False))
-        lr0, lr1 = tc.get("lr_start", 1e-2), tc.get("lr_end", 1e-3)
+        tc = {"lr_start": 1e-2, "lr_end": 1e-3, **tc}
     return trainer.TrainConfig(
-        batch=tc.get("batch", 64), steps=tc.get("steps", 2048),
-        lr_start=lr0, lr_end=lr1,
-        beta1=tc.get("beta1", 0.9), beta2=tc.get("beta2", 0.999), eps=tc.get("eps", 1e-8),
-        seed=tc.get("seed", seed), prior=build_prior(config), regularizer=reg,
-        phi0=NuisanceParams(t2_inv=config["model"].get("T2_inv", 1e-4),
-                            chi=1.0 / config["model"].get("repetitions", 1024),
-                            eta=config["model"].get("eta0", 1e-2)),
+        **{"seed": seed, **tc}, prior=build_prior(config),
+        regularizer=trainer.RegularizerSpec(**rc),
+        phi0=NuisanceParams(t2_inv=model_setting(config, "T2_inv"),
+                            chi=1.0 / model_setting(config, "repetitions"),
+                            eta=model_setting(config, "eta0")),
     )
 
 
-def _ansatz_spec(config: dict, d: int) -> flows.AnsatzSpec:
-    ac = config.get("ansatz", {})
-    return flows.AnsatzSpec(d=d, family=ac.get("family", "mean-field"),
-                            n_layers=ac.get("n_layers", 5),
-                            hidden_width=ac.get("hidden_width", 32))
-
-
-def matched_filter_az_scores(records, omega_l, az_lo=-0.32, az_hi=0.32, n_grid=600):
+def matched_filter_az_scores(records, omega_l):
     """Score candidate parallel couplings by the signal at their resonances.
 
     A weakly coupled spin at A_z produces dips at tau_m = (2m-1) pi /
@@ -210,9 +252,9 @@ def matched_filter_az_scores(records, omega_l, az_lo=-0.32, az_hi=0.32, n_grid=6
     ys = np.array([r.y for r in records])
     order = np.argsort(taus)
     taus, ys = taus[order], ys[order]
-    az_grid = np.linspace(az_lo, az_hi, n_grid)
+    az_grid = np.linspace(*AZ_SCAN, AZ_SCAN_POINTS)
     m_all = np.arange(1, 200)
-    scores = np.zeros(n_grid)
+    scores = np.zeros(AZ_SCAN_POINTS)
     for i, az in enumerate(az_grid):
         tau_m = simulator.resonance_delays(m_all, az, omega_l)
         tau_m = tau_m[(tau_m >= taus[0]) & (tau_m <= taus[-1])]
@@ -221,24 +263,22 @@ def matched_filter_az_scores(records, omega_l, az_lo=-0.32, az_hi=0.32, n_grid=6
     return az_grid, scores
 
 
-def greedy_comb_init(records, omega_l, k_max, n_pi, t2_nominal=1e-4,
-                     rel_floor=0.02, eta0_nominal=1e-2):
+def greedy_comb_init(records, omega_l, k_max, n_pi):
     """Forward-select spins that actually improve the fit of the signal.
 
     Candidates are the strongest resonance-comb scores; each round adds the
     (A_z, A_perp) pair with the largest squared-error reduction, A_z chosen
     so that the pair's dips sit at the candidate's comb position, locally grid
     refined.  Selection stops when no candidate improves the fit by
-    ``rel_floor`` or the residual has reached the shot-noise floor, so noise
+    ``GREEDY_REL_FLOOR`` or the residual has reached the shot-noise floor, so noise
     wiggles never spawn spins.  Harmonic ghosts never survive: once the parent
     spin is in the active set, the ghost's dips are already explained.
     """
     taus = np.array([r.tau_us for r in records])
     ys = np.array([r.y for r in records])
     reps = np.array([r.repetitions for r in records], dtype=float)
-    phi = NuisanceParams(t2_inv=t2_nominal)
-    noise_sse = float(np.sum(np.clip(ys * (1 - ys), 0.0, 0.25) / reps
-                             + eta0_nominal ** 2))
+    phi = NuisanceParams(t2_inv=GREEDY_T2_INV)
+    noise_sse = float(np.sum(np.clip(ys * (1 - ys), 0.0, 0.25) / reps + GREEDY_ETA0 ** 2))
     az_grid, scores = matched_filter_az_scores(records, omega_l)
     candidates = []
     for i in np.argsort(scores)[::-1]:
@@ -265,7 +305,7 @@ def greedy_comb_init(records, omega_l, k_max, n_pi, t2_nominal=1e-4,
         """A_z of the spin with this comb position and A_perp (comb_az inverted)."""
         return math.sqrt(max((omega_l + comb) ** 2 - ap * ap, 0.0)) - omega_l
 
-    def polish(spins, j, reach=3e-3):
+    def polish(spins, j):
         """Coordinate refinement of spin j against the others held fixed.
 
         The coordinates are the comb position, which the dips pin down, and
@@ -275,7 +315,7 @@ def greedy_comb_init(records, omega_l, k_max, n_pi, t2_nominal=1e-4,
         """
         others = spins[:j] + spins[j + 1:]
         comb_b, ap_b = comb_az(spins[j]), spins[j][1]
-        for span in (8 * reach, reach):
+        for span in (8 * POLISH_REACH, POLISH_REACH):
             fine_comb = comb_b + np.linspace(-span, span, 17)
             comb_b = float(fine_comb[np.argmin(sse([others + [(az_at(c, ap_b), ap_b)]
                                                     for c in fine_comb]))])
@@ -292,21 +332,21 @@ def greedy_comb_init(records, omega_l, k_max, n_pi, t2_nominal=1e-4,
         trial = [(az_at(comb, float(ap)), float(ap)) for comb in available for ap in ap_grid]
         errors = sse([active + [spin] for spin in trial])
         best = int(np.argmin(errors))          # the first minimum, as in scan order
-        if (base - errors[best]) < rel_floor * base:
+        if (base - errors[best]) < GREEDY_REL_FLOOR * base:
             break
         active.append(polish(active + [trial[best]], len(active)))
         base = sse([active])[0]
         available = [a for a in available if abs(a - comb_az(active[-1])) > 0.012]
 
-    def eliminate(spins, ap_shield=0.11):
+    def eliminate(spins):
         """Drop weak-coupling spins whose removal barely hurts the fit.
 
-        Spins above ``ap_shield`` are never dropped: detectable couplings sit
+        Spins above ``AP_SHIELD`` are never dropped: detectable couplings sit
         well above the blind zone, while comb shadows fit far below it.
         """
         kept = list(spins)
         for spin in sorted(spins, key=lambda s: s[1]):
-            if len(kept) <= 1 or spin[1] >= ap_shield:
+            if len(kept) <= 1 or spin[1] >= AP_SHIELD:
                 continue
             without = [s for s in kept if s is not spin]
             if sse([without])[0] <= max(1.15 * sse([kept])[0], 1.5 * noise_sse):
@@ -364,10 +404,10 @@ def fit_dataset(config: dict, records, seed: int):
     model = build_model(config)
     tcfg = _train_config(config, seed, kind)
     d = model.dim if kind == MODEL_DD else model.n
-    spec = _ansatz_spec(config, d)
+    spec = flows.AnsatzSpec(d=d, **config.get("ansatz", {}))
     if kind == MODEL_DD:
         init = _dd_init_params(spec, model.k_spins, tcfg.seed, records, model.omega_l,
-                               config["model"].get("n_pi", 32))
+                               model_setting(config, "n_pi"))
         return trainer.train_from(tcfg, records, model, init)
     return trainer.train(tcfg, records, model, spec)
 
@@ -375,18 +415,16 @@ def fit_dataset(config: dict, records, seed: int):
 def bench_pf_rows(config: dict, n_list, seeds):
     """(n, method, seed, error) rows for methods PF, VBI, and baseline."""
     bc = config.get("bench", {})
-    mc = dict(config["model"])
+    train = {"steps": 2000,
+             **{key: bc[key] for key in ("batch", "steps", "lr_start", "lr_end") if key in bc}}
     rows = []
     for n in n_list:
         base_rng = RngStream(90000 + n)
         baseline = smc.prior_mode_baseline_error(n, bc.get("trials", 10000), base_rng)
         for seed in seeds:
             truth = RngStream(50000 + 1000 * n + seed).uniform(0.0, 1.0, n)
-            scenario = ScenarioConfig(
-                kind=MODEL_TOY, theta_true=truth, m_points=mc.get("m_points", 512),
-                repetitions=mc.get("repetitions", 1024), seed=seed,
-                log_tau_range=tuple(mc.get("log_tau_range", (-1.0, 4.0))))
-            records = simulator.simulate_dataset(scenario)
+            truth_cfg = {"model": {**config["model"], "truth_frequencies": truth.tolist()}}
+            records = simulator.simulate_dataset(scenario(truth_cfg, seed))
             model = ToyModel(n=n)
 
             ens = smc.pf_init(np.zeros(n), np.ones(n), bc.get("n_particles", 16384),
@@ -395,11 +433,7 @@ def bench_pf_rows(config: dict, n_list, seeds):
             rows.append((n, "PF", seed, smc.sorted_square_error(smc.pf_estimate(ens), truth)))
 
             run_cfg = {"model": {"kind": MODEL_TOY, "n_frequencies": n},
-                       "train": {"batch": bc.get("batch", 64),
-                                 "steps": bc.get("steps", 2000),
-                                 "lr_start": bc.get("lr_start", 1e-2),
-                                 "lr_end": bc.get("lr_end", 1e-3),
-                                 "seed": seed},
+                       "train": {**train, "seed": seed},
                        "ansatz": {"family": "mean-field"}}
             params, _, _ = fit_dataset(run_cfg, records, seed)
             draws, _, _ = flows.sample_batch(params, 2048, RngStream(seed + 13))

@@ -98,7 +98,11 @@ def marginalize_spins(samples) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: RngStream, iters: int = 60):
+KMEANS_ITERS = 60       # Lloyd iterations per k-means run, unless labels settle first
+KMEANS_RESTARTS = 20    # seeded k-means runs per cluster count; the lowest inertia wins
+
+
+def _kmeans_once(points: np.ndarray, k: int, rng: RngStream):
     n = points.shape[0]
     centers = np.empty((k, 2))
     centers[0] = points[int(rng.integers(0, n))]
@@ -112,7 +116,7 @@ def _kmeans_once(points: np.ndarray, k: int, rng: RngStream, iters: int = 60):
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
     sq_norms = np.sum(points * points, axis=1)
     labels = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         dist = sq_norms[:, None] - 2.0 * points @ centers.T + np.sum(centers * centers, axis=1)
         new_labels = dist.argmin(axis=1)
         counts = np.bincount(new_labels, minlength=k)
@@ -129,9 +133,9 @@ def _kmeans_once(points: np.ndarray, k: int, rng: RngStream, iters: int = 60):
     return labels, centers, inertia
 
 
-def _kmeans(points: np.ndarray, k: int, rng: RngStream, restarts: int = 20):
+def _kmeans(points: np.ndarray, k: int, rng: RngStream):
     best = None
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         out = _kmeans_once(points, k, rng)
         if best is None or out[2] < best[2]:
             best = out

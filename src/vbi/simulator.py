@@ -23,20 +23,25 @@ INIT_READOUT_US = 10.0            # per-sequence initialization + readout
 PI_PULSE_US = 0.037               # single pi-pulse duration
 PULSES_PER_UNIT = 2               # two pi pulses per (pi - tau - pi) unit
 
+BATH_MAX_TRIES = 10000            # rejection-sampling draws before a bath gives up
+
 MODEL_DD = "dd"
 MODEL_TOY = "toy"
 
 
-def omega_larmor(b_gauss: float, gamma_khz_per_g: float = GAMMA_C13_KHZ_PER_G) -> float:
-    """Angular Larmor frequency 2 pi gamma_n B in rad/us."""
+def omega_larmor(b_gauss: float) -> float:
+    """Angular 13C Larmor frequency 2 pi gamma_n B in rad/us."""
     if b_gauss <= 0:
         raise ValueError("field must be positive")
-    return 2.0 * math.pi * gamma_khz_per_g * b_gauss * 1e-3
+    return 2.0 * math.pi * GAMMA_C13_KHZ_PER_G * b_gauss * 1e-3
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to generate one synthetic dataset deterministically."""
+    """Everything needed to generate one synthetic dataset deterministically.
+
+    The field defaults are also the run config's model defaults.
+    """
 
     kind: str                         # "dd" or "toy"
     theta_true: np.ndarray            # couplings (dd) or frequencies (toy)
@@ -100,12 +105,11 @@ def simulate_dataset(cfg: ScenarioConfig) -> list[MeasurementRecord]:
 
 
 def strongly_coupled_bath(k: int, rng: RngStream, az_range=(-0.3, 0.3),
-                          aperp_range=(0.1, 0.5), min_delta_az: float = 0.03,
-                          max_tries: int = 10000) -> np.ndarray:
+                          aperp_range=(0.1, 0.5), min_delta_az: float = 0.03) -> np.ndarray:
     """Random bath with a minimum parallel-coupling separation (rejection)."""
     if k < 1:
         raise ValueError("need at least one spin")
-    for _ in range(max_tries):
+    for _ in range(BATH_MAX_TRIES):
         az = rng.uniform(az_range[0], az_range[1], k)
         if k == 1 or float(np.min(np.diff(np.sort(az)))) >= min_delta_az:
             couplings = np.empty(2 * k)
@@ -203,7 +207,11 @@ def write_truth_json(path, couplings, t2_inv: float, b_gauss: float) -> None:
 
 
 def read_truth_json(path):
+    """Returns ((n, 2) couplings, T2_inv, B_gauss). Raises ValueError on a missing field."""
     with open(path) as fh:
         payload = json.load(fh)
-    spins = np.array([[s["Az_MHz"], s["Aperp_MHz"]] for s in payload["spins"]])
-    return spins, float(payload["T2_inv"]), float(payload["B_gauss"])
+    try:
+        spins = np.array([[s["Az_MHz"], s["Aperp_MHz"]] for s in payload["spins"]])
+        return spins, float(payload["T2_inv"]), float(payload["B_gauss"])
+    except KeyError as err:
+        raise ValueError(f"ground truth {path} lacks field {err.args[0]!r}") from None

@@ -215,8 +215,10 @@ def estimate_elbo(params: flows.FlowParameters, data, model, prior: PriorSpec,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch: int = 128
-    steps: int = 8192
+    """ELBO-ascent settings; the defaults are also the run config's train defaults."""
+
+    batch: int = 64
+    steps: int = 2048
     lr_start: float = 1e-3
     lr_end: float = 1e-4
     beta1: float = 0.9
@@ -262,9 +264,6 @@ class TrainTrace:
                 fh.write(f"{i + 1},{float(self.elbo[i])!r},{float(self.lr[i])!r},"
                          f"{float(self.phi[i, 0])!r},{float(self.phi[i, 1])!r},"
                          f"{float(self.phi[i, 2])!r},{float(self.reg_sigma[i])!r}\n")
-
-
-_PHI_RAW_FLOOR = -40.0  # softplus^-1 of ~4e-18; keeps raw values finite
 
 
 def _phi_to_raw(phi: NuisanceParams) -> np.ndarray:

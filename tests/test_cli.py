@@ -70,6 +70,27 @@ def test_wrong_type_rejected(tmp_path, capsys):
     assert "B_gauss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "az_range", [0.1]),
+    ("model", "aperp_range", [0.1, "wide"]),
+    ("model", "log_tau_range", [-1.0, 2.0, 4.0]),
+    ("model", "truth_spins", [[0.1, 0.2], [0.3]]),
+    ("model", "truth_spins", [0.1, 0.2]),
+    ("model", "truth_frequencies", ["x"]),
+    ("bench", "n_list", ["x"]),
+    ("bench", "seeds", [0.5]),
+    ("model", "repetitions", 0),
+], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
+        "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "repetitions"])
+def test_bad_config_value_rejected(tmp_path, capsys, section, key, value):
+    config = {"model": {"kind": "dd", "B_gauss": 403.0}}
+    config.setdefault(section, {})[key] = value
+    path = write_config(tmp_path, config)
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(tmp_path / "nope.json")])
     assert code == 2
@@ -157,6 +178,21 @@ def test_select_rejects_corrupt_checkpoint(tmp_path, fitted_run):
     code = cli.main(["select", "--config", path, "--checkpoint", str(bad),
                      "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("name,field", [("ground_truth.json", "spins"),
+                                        ("checkpoint.json", "family")])
+def test_select_rejects_input_file_missing_a_field(tmp_path, capsys, fitted_run, name, field):
+    path, out = fitted_run
+    files = {f: out / f for f in ("checkpoint.json", "ground_truth.json")}
+    payload = json.loads(files[name].read_text())
+    del payload[field]
+    files[name] = tmp_path / name
+    files[name].write_text(json.dumps(payload))
+    code = cli.main(["select", "--config", path, "--checkpoint", str(files["checkpoint.json"]),
+                     "--ground-truth", str(files["ground_truth.json"]), "--out", str(tmp_path)])
+    assert code == 2
+    assert repr(field) in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

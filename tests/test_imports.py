@@ -1,4 +1,5 @@
-"""Every imported name is used, and every library function or class has a
+"""Every imported name is used, every library function, class and constant
+has a reader outside the tests, and every defaulted parameter is passed by some
 caller outside the tests, checked by parsing the sources, not running them."""
 
 import ast
@@ -11,6 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the package __init__ re-exports the names it imports
 LIBRARY = sorted(p for p in (ROOT / "src" / "vbi").glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCHMARKS = sorted(p for p in (ROOT / "benchmarks").glob("*.py")
+                    if not p.name.startswith("test_"))
 SOURCES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py"), *DEMOS])
 # library names no library code or demo calls, on purpose: the oracles tests
 # compare against, a helper kept for a planned caller, the console-script
@@ -18,6 +21,15 @@ SOURCES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py"), *DEMOS])
 UNCALLED = {"GaussianLocationModel", "flow_inverse", "ansatz_log_density", "log_joint",
             "dd_single_spin_term", "surrogate_information_gain", "entry",
             "variance_floor_count"}
+# defaulted parameters no library code, demo or benchmark passes, on purpose
+UNPASSED = {
+    "surrogate_information_gain.prior": "adaptive measurement waits on ROADMAP item 5",
+    "surrogate_information_gain.phi": "adaptive measurement waits on ROADMAP item 5",
+    "surrogate_information_gain.repetitions": "adaptive measurement waits on ROADMAP item 5",
+    "DDModel.sample_record.eta0": "only adaptive measurement (ROADMAP item 5) would pass it",
+    "GaussianLocationModel.__init__.noise_std": "the criterion-1 oracle's tests set it",
+    "TrainTrace.smoothed_elbo.window": "the criterion-1 tests read a fixed 100-step tail",
+}
 
 
 def _unused_imports(tree):
@@ -47,15 +59,84 @@ def _read_names(node):
             yield sub.attr
 
 
+def _module_names(tree):
+    """(name, defining node) of each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
 def test_library_names_have_a_non_test_caller():
     reads, definitions = Counter(), []
     for source in [*LIBRARY, *DEMOS]:
         tree = ast.parse(source.read_text(), filename=str(source))
         reads.update(_read_names(tree))
         if source in LIBRARY:
-            definitions += [node for node in tree.body
-                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            definitions += list(_module_names(tree))
     # a read inside the name's own definition (recursion) is not a caller
-    uncalled = {node.name for node in definitions
-                if reads[node.name] == Counter(_read_names(node))[node.name]}
+    uncalled = {name for name, node in definitions
+                if reads[name] == Counter(_read_names(node))[name]}
     assert sorted(uncalled - UNCALLED) == []
+
+
+def _functions(node, owner=None):
+    """(qualified name, the name its calls use, the positional parameters callers
+    pass, function node) of every function defined under ``node``, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, child)
+        elif isinstance(child, ast.FunctionDef):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            method = isinstance(owner, ast.ClassDef)
+            if method and not any(getattr(d, "id", None) == "staticmethod"
+                                  for d in child.decorator_list):
+                positional = positional[1:]          # self or cls
+            called_as = owner.name if method and child.name == "__init__" else child.name
+            qualname = f"{owner.name}.{child.name}" if owner is not None else child.name
+            yield qualname, called_as, positional, child
+            yield from _functions(child, child)
+        else:
+            yield from _functions(child, owner)
+
+
+def _passes(call, param, index) -> bool:
+    """Whether ``call`` passes ``param``, by keyword, ``**`` or position ``index``."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    star = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), None)
+    return index < len(call.args) if star is None else star <= index
+
+
+def test_defaulted_parameters_are_passed():
+    calls = {}
+    for source in [*LIBRARY, *DEMOS, *BENCHMARKS]:
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    # a call counts by name alone, so any function of that name may be the callee;
+    # a recursive call counts as a caller
+    unpassed = set()
+    for source in LIBRARY:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for qualname, called_as, positional, fn in _functions(tree):
+            args = fn.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(p.arg, None) for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            unpassed.update(f"{qualname}.{param}" for param, index in defaulted
+                            if not any(_passes(call, param, index)
+                                       for call in calls.get(called_as, [])))
+    assert sorted(unpassed - UNPASSED.keys()) == []
+    # an allowlisted parameter that gained a caller leaves the list
+    assert sorted(UNPASSED.keys() - unpassed) == []
