@@ -40,6 +40,17 @@ def _train_seed(args, config: dict) -> int:
     return args.seed if args.seed is not None else config.get("train", {}).get("seed", 0)
 
 
+def _load_checkpoint(path, config: dict):
+    """The checkpoint at ``path``; one that records the model kind it was
+    fitted with must have been fitted with the config's."""
+    params, extra = flows.load_checkpoint(path)
+    kind = config["model"]["kind"]
+    if extra.get("kind", kind) != kind:
+        raise ConfigError(f"checkpoint {path} was fitted with the {extra['kind']} model, "
+                          f"not the config's {kind} model")
+    return params, extra
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -95,8 +106,10 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     config = load_config(args.config)
+    if config["model"]["kind"] != MODEL_DD:
+        raise ConfigError("select runs on the dd model only")
     out = _out_dir(args)
-    params, extra = flows.load_checkpoint(args.checkpoint)
+    params, _ = _load_checkpoint(args.checkpoint, config)
     sc = pipeline.selection_settings(config)
     if sc["draws"] < 1:
         raise ConfigError("selection.draws must be >= 1")
@@ -149,7 +162,7 @@ def cmd_plotdata(args) -> int:
         raise ConfigError(f"incomplete run directory: {run_dir} "
                           "(needs dataset.csv and checkpoint.json)")
     records = read_dataset_csv(dataset_path)
-    params, extra = flows.load_checkpoint(ckpt_path)
+    params, extra = _load_checkpoint(ckpt_path, config)
     phi = NuisanceParams(*extra.get("phi", [0.0, 0.0, 0.0]))
     model = pipeline.build_model(config)
     kind = config["model"]["kind"]
@@ -198,9 +211,10 @@ def _parser() -> argparse.ArgumentParser:
                                      description="Variational Bayesian spin identification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("simulate", help="write dataset.csv, ground_truth.json, t_tot.json")
@@ -213,7 +227,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--ground-truth", default=None)
     p = sub.add_parser("bench-pf", help="particle filter vs VBI scaling benchmark")
-    common(p)
+    common(p, seed=False)      # its seeds are bench.seeds
     p = sub.add_parser("plotdata", help="emit signal and posterior scatter CSVs")
     common(p)
     p.add_argument("--run-dir", required=True)
@@ -246,3 +260,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

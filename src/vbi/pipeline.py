@@ -1,9 +1,10 @@
 """The paper's pipeline as library calls: the run-config format and the
 fit-side algorithms behind ``vbi fit`` and ``vbi bench-pf``.
 
-A run config is JSON with a strict schema (:func:`load_config`); unknown keys
-are rejected with the offending path so typos never silently fall back to
-defaults.  A key a config leaves out takes the default of the library object
+A run config is JSON with a strict schema (:func:`load_config`) picked by its
+``model.kind``: unknown keys, and keys only the other kind reads, are rejected
+with the offending path, so neither a typo nor a key without effect passes
+silently.  A key a config leaves out takes the default of the library object
 it sets (``ScenarioConfig``, ``TrainConfig``, ...).  :func:`fit_dataset` is
 the config-driven fit: it builds the model, the training settings and the
 initial ansatz from a config and trains the posterior on a dataset.  Spin-identification fits start at the greedy comb
@@ -66,62 +67,63 @@ _NUMBERS = ("a list of numbers", lambda v: all(map(_is_number, v)))
 _INTS = ("a list of integers", lambda v: all(map(_is_int, v)))
 _PAIRS = ("a list of [A_z, A_perp] number pairs", lambda v: all(map(_is_pair, v)))
 
-_SCHEMA = {
-    "model": {
-        "kind": str,
-        # dd
-        "ansatz_spins": int,
-        "B_gauss": float,
-        "n_pi": int,
-        "T2_inv": float,
-        "eta0": float,
-        "eta_stretch": float,
-        "tau_min_us": float,
-        "tau_max_us": float,
-        "m_points": int,
-        "repetitions": int,
-        "truth_spins": _PAIRS,       # explicit ground truth
-        "truth_seed": int,           # or a generated strongly-coupled bath
-        "truth_count": int,
-        "az_range": _RANGE,
-        "aperp_range": _RANGE,
-        "min_delta_az": float,
-        # toy
-        "n_frequencies": int,
-        "log_tau_range": _RANGE,
-        "truth_frequencies": _NUMBERS,
-    },
+_SHARED = {
+    "model": {"kind": str, "m_points": int, "repetitions": int, "truth_seed": int},
     "ansatz": {"family": str, "n_layers": int, "hidden_width": int},
     "train": {
         "batch": int, "steps": int, "lr_start": float, "lr_end": float,
         "beta1": float, "beta2": float, "eps": float, "seed": int,
     },
     "regularizer": {"kind": str, "sigma": float, "trainable": bool},
-    "selection": {
-        "aperp_threshold_mhz": float, "az_max_mhz": float,
-        "mahalanobis_t": float, "draws": int, "cluster_seed": int,
-    },
-    "bench": {"n_list": _INTS, "seeds": _INTS, "n_particles": int,
-              "batch": int, "steps": int, "lr_start": float, "lr_end": float,
-              "trials": int},
     "plot": {"draws": int},
 }
+# the keys and sections only one model kind reads
+_OWN = {
+    MODEL_DD: {
+        "model": {
+            "ansatz_spins": int, "B_gauss": float, "n_pi": int, "T2_inv": float,
+            "eta0": float, "eta_stretch": float, "tau_min_us": float, "tau_max_us": float,
+            "truth_spins": _PAIRS,       # explicit ground truth
+            "truth_count": int,          # or a generated strongly-coupled bath
+            "az_range": _RANGE, "aperp_range": _RANGE, "min_delta_az": float,
+        },
+        "selection": {
+            "aperp_threshold_mhz": float, "az_max_mhz": float,
+            "mahalanobis_t": float, "draws": int, "cluster_seed": int,
+        },
+    },
+    MODEL_TOY: {
+        "model": {"n_frequencies": int, "log_tau_range": _RANGE, "truth_frequencies": _NUMBERS},
+        "bench": {"n_list": _INTS, "seeds": _INTS, "n_particles": int,
+                  "batch": int, "steps": int, "lr_start": float, "lr_end": float,
+                  "trials": int},
+    },
+}
+# the schema of each model kind: the shared sections and keys plus its own
+_SCHEMAS = {kind: {section: {**_SHARED.get(section, {}), **own.get(section, {})}
+                   for section in {**_SHARED, **own}}
+            for kind, own in _OWN.items()}
+# an explicit ground truth leaves the keys of the generated one without effect
+_EXPLICIT_TRUTH = {"truth_spins": ("truth_seed", *_BATH_KEYS),
+                   "truth_frequencies": ("truth_seed",)}
 
-_REQUIRED = {"model.kind"}
-_REQUIRED_DD = {"model.B_gauss"}
 
-
-def _validate(config: dict, schema=None, path="") -> None:
-    schema = _SCHEMA if schema is None else schema
+def _validate(config: dict, schema: dict, other: dict, kind: str, path="") -> None:
+    """Check ``config`` against the schema of its model kind; ``other`` is the
+    schema of the other kind, whose keys the error names as such."""
     if not isinstance(config, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
     for key, value in config.items():
         here = f"{path}.{key}" if path else key
         if key not in schema:
-            raise ConfigError(f"unknown key: {here}")
+            if key not in other:
+                raise ConfigError(f"unknown key: {here}")
+            if isinstance(other[key], dict) and isinstance(value, dict) and value:
+                _validate(value, {}, other[key], kind, here)   # names the key inside
+            raise ConfigError(f"{here} does not apply to model kind {kind!r}")
         expected = schema[key]
         if isinstance(expected, dict):
-            _validate(value, expected, here)
+            _validate(value, expected, other.get(key, {}), kind, here)
         elif isinstance(expected, tuple):
             what, check = expected
             if not (isinstance(value, list) and check(value)):
@@ -141,21 +143,23 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
-    _validate(config)
-    for field in _REQUIRED:
-        section, key = field.split(".")
-        if key not in config.get(section, {}):
-            raise ConfigError(f"missing field: {field}")
-    kind = config["model"]["kind"]
+    # model.kind picks the schema of the rest, so it is read and checked first
+    model = config.get("model") if isinstance(config, dict) else None
+    if not isinstance(model, dict) or "kind" not in model:
+        raise ConfigError("missing field: model.kind")
+    kind = model["kind"]
     if kind not in (MODEL_DD, MODEL_TOY):
         raise ConfigError(f"model.kind must be 'dd' or 'toy', got {kind!r}")
+    other = MODEL_TOY if kind == MODEL_DD else MODEL_DD
+    _validate(config, _SCHEMAS[kind], _SCHEMAS[other], kind)
+    if kind == MODEL_DD and "B_gauss" not in model:
+        raise ConfigError("missing field: model.B_gauss")
+    for explicit, generated in _EXPLICIT_TRUTH.items():
+        for key in generated:
+            if explicit in model and key in model:
+                raise ConfigError(f"model.{key} has no effect beside model.{explicit}")
     if model_setting(config, "repetitions") < 1:
         raise ConfigError("model.repetitions must be >= 1")
-    if kind == MODEL_DD:
-        for field in _REQUIRED_DD:
-            section, key = field.split(".")
-            if key not in config.get(section, {}):
-                raise ConfigError(f"missing field: {field}")
     return config
 
 

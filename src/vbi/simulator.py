@@ -207,10 +207,16 @@ def write_truth_json(path, couplings, t2_inv: float, b_gauss: float) -> None:
 
 
 def read_truth_json(path):
-    """Returns ((n, 2) couplings, T2_inv, B_gauss). Raises ValueError on a missing field."""
+    """Returns ((n, 2) couplings, T2_inv, B_gauss). Raises ValueError on a
+    missing field or a payload of the wrong shape."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"ground truth {path} is not a JSON object")
     try:
+        if not (isinstance(payload["spins"], list)
+                and all(isinstance(s, dict) for s in payload["spins"])):
+            raise ValueError(f"ground truth {path}: 'spins' is not a list of objects")
         spins = np.array([[s["Az_MHz"], s["Aperp_MHz"]] for s in payload["spins"]])
         return spins, float(payload["T2_inv"]), float(payload["B_gauss"])
     except KeyError as err:

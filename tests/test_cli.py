@@ -39,6 +39,42 @@ def toy_config():
     }
 
 
+def bench_config():
+    return {
+        "model": {"kind": "toy", "m_points": 24, "repetitions": 64,
+                  "log_tau_range": [-1.0, 1.5]},
+        "bench": {"n_list": [2], "seeds": [0], "n_particles": 256,
+                  "steps": 60, "batch": 16, "trials": 2000},
+    }
+
+
+def subprocess_env():
+    """The environment with this checkout's vbi first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(vbi.__file__).resolve().parent.parent),
+                                         *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))])
+    return env
+
+
+# a valid value of every key only one model kind reads
+DD_ONLY = {
+    "model": {"ansatz_spins": 3, "B_gauss": 403.0, "n_pi": 7, "T2_inv": 1e-4, "eta0": 0.5,
+              "eta_stretch": 1.5, "tau_min_us": 1.0, "tau_max_us": 9.0,
+              "truth_spins": [[0.1, 0.2]], "truth_count": 2, "az_range": [-0.1, 0.1],
+              "aperp_range": [0.1, 0.3], "min_delta_az": 0.03},
+    "selection": {"aperp_threshold_mhz": 0.05, "az_max_mhz": 0.3, "mahalanobis_t": 4.0,
+                  "draws": 16, "cluster_seed": 1},
+}
+TOY_ONLY = {
+    "model": {"n_frequencies": 2, "log_tau_range": [-1.0, 2.0], "truth_frequencies": [0.5]},
+    "bench": {"n_list": [2], "seeds": [0], "n_particles": 256, "batch": 16, "steps": 60,
+              "lr_start": 1e-2, "lr_end": 1e-3, "trials": 100},
+}
+WRONG_KIND = [(kind, section, key, value)
+              for kind, own in (("toy", DD_ONLY), ("dd", TOY_ONLY))
+              for section, keys in own.items() for key, value in keys.items()]
+
+
 # --------------------------------------------------------------------------
 # config validation
 # --------------------------------------------------------------------------
@@ -48,12 +84,46 @@ def toy_config():
     ({"model": {"kind": "dd", "B_gauss": 403.0, "banana": 1}}, "model.banana"),
     ({"model": {"kind": "dd", "B_gauss": 403.0}, "train": {"init_spread": "matched"}},
      "train.init_spread"),
-], ids=["model.banana", "train.init_spread"])
+    ({"model": {"kind": "toy"}, "selection": {}}, "selection"),
+    ({"model": {"kind": "toy"}, "selection": {"banana": 1}}, "selection.banana"),
+], ids=["model.banana", "train.init_spread", "toy-empty-selection", "toy-selection.banana"])
 def test_unknown_key_rejected(tmp_path, capsys, config, key):
     path = write_config(tmp_path, config)
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,section,key,value", WRONG_KIND,
+                         ids=[f"{kind}-{section}.{key}" for kind, section, key, _ in WRONG_KIND])
+def test_key_of_other_kind_rejected(tmp_path, capsys, kind, section, key, value):
+    config = toy_config() if kind == "toy" else dd_config()
+    config.setdefault(section, {})[key] = value
+    path = write_config(tmp_path, config)
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and repr(kind) in err
+
+
+@pytest.mark.parametrize("kind,explicit,key,value", [
+    ("dd", "truth_spins", "truth_seed", 3),
+    ("dd", "truth_spins", "az_range", [-0.1, 0.1]),
+    ("dd", "truth_spins", "aperp_range", [0.1, 0.3]),
+    ("dd", "truth_spins", "min_delta_az", 0.03),
+    ("toy", "truth_frequencies", "truth_seed", 3),
+], ids=["truth_spins-truth_seed", "truth_spins-az_range", "truth_spins-aperp_range",
+        "truth_spins-min_delta_az", "truth_frequencies-truth_seed"])
+def test_explicit_truth_excludes_generated_truth_keys(tmp_path, capsys, kind, explicit, key,
+                                                      value):
+    config = dd_config(truth_spins=[[0.1, 0.2]]) if kind == "dd" else toy_config()
+    config["model"].pop("truth_seed", None)
+    config["model"][key] = value
+    path = write_config(tmp_path, config)
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"model.{key}" in err and f"model.{explicit}" in err
 
 
 def test_missing_b_gauss_names_field(tmp_path, capsys):
@@ -70,20 +140,20 @@ def test_wrong_type_rejected(tmp_path, capsys):
     assert "B_gauss" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("model", "az_range", [0.1]),
-    ("model", "aperp_range", [0.1, "wide"]),
-    ("model", "log_tau_range", [-1.0, 2.0, 4.0]),
-    ("model", "truth_spins", [[0.1, 0.2], [0.3]]),
-    ("model", "truth_spins", [0.1, 0.2]),
-    ("model", "truth_frequencies", ["x"]),
-    ("bench", "n_list", ["x"]),
-    ("bench", "seeds", [0.5]),
-    ("model", "repetitions", 0),
+@pytest.mark.parametrize("kind,section,key,value", [
+    ("dd", "model", "az_range", [0.1]),
+    ("dd", "model", "aperp_range", [0.1, "wide"]),
+    ("toy", "model", "log_tau_range", [-1.0, 2.0, 4.0]),
+    ("dd", "model", "truth_spins", [[0.1, 0.2], [0.3]]),
+    ("dd", "model", "truth_spins", [0.1, 0.2]),
+    ("toy", "model", "truth_frequencies", ["x"]),
+    ("toy", "bench", "n_list", ["x"]),
+    ("toy", "bench", "seeds", [0.5]),
+    ("dd", "model", "repetitions", 0),
 ], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
         "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "repetitions"])
-def test_bad_config_value_rejected(tmp_path, capsys, section, key, value):
-    config = {"model": {"kind": "dd", "B_gauss": 403.0}}
+def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
+    config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
     config.setdefault(section, {})[key] = value
     path = write_config(tmp_path, config)
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
@@ -209,6 +279,52 @@ def test_select_numeric_overflow_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload,problem", [
+    ([1, 2], "not a JSON object"),
+    ({"spins": [1, 2], "T2_inv": 1e-4, "B_gauss": 403.0}, "not a list of objects"),
+], ids=["top-level-list", "spins-not-objects"])
+def test_select_rejects_malformed_ground_truth(tmp_path, capsys, fitted_run, payload, problem):
+    path, out = fitted_run
+    truth = tmp_path / "ground_truth.json"
+    truth.write_text(json.dumps(payload))
+    code = cli.main(["select", "--config", path, "--checkpoint", str(out / "checkpoint.json"),
+                     "--ground-truth", str(truth), "--out", str(tmp_path)])
+    assert code == 2
+    assert problem in capsys.readouterr().err
+
+
+def test_select_rejects_toy_config(tmp_path, capsys):
+    path = write_config(tmp_path, toy_config())
+    spec = flows.AnsatzSpec(d=1, family="mean-field")
+    ckpt = tmp_path / "toy.json"
+    flows.save_checkpoint(ckpt, flows.init_flow_parameters(spec, np.full(1, 0.5), np.ones(1)))
+    code = cli.main(["select", "--config", path, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "dd model only" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("toyrun")
+    path = write_config(tmp_path, toy_config())
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert cli.main(["fit", "--config", path, "--dataset", str(out / "dataset.csv"),
+                     "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["select", "plotdata"])
+def test_dd_command_rejects_toy_checkpoint(tmp_path, capsys, toy_run, command):
+    path = write_config(tmp_path, dd_config())
+    inputs = (["--checkpoint", str(toy_run / "checkpoint.json")] if command == "select"
+              else ["--run-dir", str(toy_run)])
+    code = cli.main([command, "--config", path, *inputs, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "fitted with the toy model" in capsys.readouterr().err
+
+
 def test_select_report(fitted_run):
     path, out = fitted_run
     code = cli.main(["select", "--config", path, "--checkpoint", str(out / "checkpoint.json"),
@@ -305,14 +421,17 @@ def test_bench_pf_rejects_dd_model(tmp_path):
     assert cli.main(["bench-pf", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+def test_bench_pf_has_no_seed_flag(tmp_path, capsys):
+    # its seeds are bench.seeds, so a --seed would have no effect
+    path = write_config(tmp_path, bench_config())
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bench-pf", "--config", path, "--seed", "5", "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_bench_pf_rows(tmp_path):
-    config = {
-        "model": {"kind": "toy", "m_points": 24, "repetitions": 64,
-                  "log_tau_range": [-1.0, 1.5]},
-        "bench": {"n_list": [2], "seeds": [0], "n_particles": 256,
-                  "steps": 60, "batch": 16, "trials": 2000},
-    }
-    path = write_config(tmp_path, config)
+    path = write_config(tmp_path, bench_config())
     out = tmp_path / "bench"
     assert cli.main(["bench-pf", "--config", path, "--out", str(out)]) == 0
     lines = (out / "bench.csv").read_text().strip().splitlines()
@@ -329,11 +448,9 @@ def test_bench_pf_rows(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_vbi_threads_caps_blas_pool():
-    env = {k: v for k, v in os.environ.items()
+    env = {k: v for k, v in subprocess_env().items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["VBI_THREADS"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(vbi.__file__).resolve().parent.parent),
-                                         *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))])
     script = ("import os, vbi, numpy as np\n"
               "a = np.ones((256, 256))\n"
               "a @ a\n"
@@ -341,3 +458,11 @@ def test_vbi_threads_caps_blas_pool():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "1"
+
+
+def test_python_m_vbi_cli_runs_a_command(tmp_path):
+    path = write_config(tmp_path, toy_config())
+    out = tmp_path / "run"
+    subprocess.run([sys.executable, "-m", "vbi.cli", "simulate", "--config", path,
+                    "--out", str(out)], env=subprocess_env(), capture_output=True, check=True)
+    assert (out / "dataset.csv").exists()

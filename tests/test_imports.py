@@ -16,11 +16,10 @@ BENCHMARKS = sorted(p for p in (ROOT / "benchmarks").glob("*.py")
                     if not p.name.startswith("test_"))
 SOURCES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py"), *DEMOS])
 # library names no library code or demo calls, on purpose: the oracles tests
-# compare against, a helper kept for a planned caller, the console-script
-# entry point, and the counter the benchmark reads through getattr
+# compare against, a helper kept for a planned caller, and the counter the
+# benchmark reads through getattr
 UNCALLED = {"GaussianLocationModel", "flow_inverse", "ansatz_log_density", "log_joint",
-            "dd_single_spin_term", "surrogate_information_gain", "entry",
-            "variance_floor_count"}
+            "dd_single_spin_term", "surrogate_information_gain", "variance_floor_count"}
 # defaulted parameters no library code, demo or benchmark passes, on purpose
 UNPASSED = {
     "surrogate_information_gain.prior": "adaptive measurement waits on ROADMAP item 5",

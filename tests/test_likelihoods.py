@@ -280,6 +280,36 @@ def test_batch_loglik_agrees_with_record_path():
     assert batch == pytest.approx(lk.log_joint(records, theta, phi, model), rel=1e-12)
 
 
+@pytest.mark.parametrize("eta_stretch", [0.7, 1.5])
+def test_stretched_envelope_gradients_match_central_differences(eta_stretch):
+    model = lk.DDModel(k_spins=2, omega_l=OMEGA_L, eta_stretch=eta_stretch)
+    records = _dd_records(6, 30)
+    data = model.prepare(records)
+    theta = [0.1, 0.3, -0.15, 0.2]
+    phi_vals = [3e-3, 1e-3, 0.02]
+    phi = lk.NuisanceParams(*phi_vals)
+    ll, grad_a, grad_phi = model.batch_loglik(data, np.array([theta]), phi)
+    assert ll[0] == pytest.approx(lk.log_joint(records, theta, phi, model), rel=1e-12)
+
+    def central(f, x, j):
+        h = 1e-5 * abs(x[j])
+        up, dn = list(x), list(x)
+        up[j] += h
+        dn[j] -= h
+        return (f(up) - f(dn)) / (2.0 * h)
+
+    def of_a(x):
+        return model.batch_loglik(data, np.array([x]), phi)[0][0]
+
+    def of_phi(x):
+        return model.batch_loglik(data, np.array([theta]), lk.NuisanceParams(*x))[0][0]
+
+    for j in range(4):
+        assert grad_a[0, j] == pytest.approx(central(of_a, theta, j), rel=1e-6), j
+    for j in range(3):
+        assert grad_phi[0, j] == pytest.approx(central(of_phi, phi_vals, j), rel=1e-6), j
+
+
 # --------------------------------------------------------------------------
 # dd kernel against a closed-form oracle, mixed N_pi and |cos phi| = 1
 # --------------------------------------------------------------------------
