@@ -416,8 +416,24 @@ def fit_dataset(config: dict, records, seed: int):
     return trainer.train(tcfg, records, model, spec)
 
 
+# keys of a toy config that bench_pf_rows never reads: it draws each truth and
+# builds each fit's settings itself
+_BENCH_PF_UNREAD = ("model.truth_seed", "model.n_frequencies", "model.truth_frequencies",
+                    "ansatz", "train", "regularizer", "plot")
+
+
 def bench_pf_rows(config: dict, n_list, seeds):
-    """(n, method, seed, error) rows for methods PF, VBI, and baseline."""
+    """(n, method, seed, error) rows for methods PF, VBI, and baseline.
+
+    Only ``model.m_points``, ``repetitions``, ``log_tau_range`` and the
+    ``bench`` section are read; a config that sets a key of
+    ``_BENCH_PF_UNREAD`` is a :class:`ConfigError`.
+    """
+    for path in _BENCH_PF_UNREAD:
+        section, _, key = path.partition(".")
+        if section in config and (not key or key in config[section]):
+            raise ConfigError(f"{path} has no effect on bench-pf, which draws its own "
+                              "truths and fit settings")
     bc = config.get("bench", {})
     train = {"steps": 2000,
              **{key: bc[key] for key in ("batch", "steps", "lr_start", "lr_end") if key in bc}}

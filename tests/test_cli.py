@@ -430,6 +430,24 @@ def test_bench_pf_has_no_seed_flag(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [
+    ("model.truth_seed", 3), ("model.n_frequencies", 2), ("model.truth_frequencies", [0.5]),
+    ("ansatz", {"family": "mean-field"}), ("train", {"steps": 10}),
+    ("regularizer", {"kind": "l2", "sigma": 1e-3}), ("plot", {"draws": 8}),
+])
+def test_bench_pf_rejects_keys_it_does_not_read(tmp_path, capsys, path, value):
+    config = bench_config()
+    section, _, key = path.partition(".")
+    if key:
+        config[section][key] = value
+    else:
+        config[section] = value
+    path_arg = write_config(tmp_path, config)
+    assert cli.main(["bench-pf", "--config", path_arg, "--out", str(tmp_path / "o")]) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bench.csv").exists()
+
+
 def test_bench_pf_rows(tmp_path):
     path = write_config(tmp_path, bench_config())
     out = tmp_path / "bench"

@@ -36,6 +36,47 @@ def test_toy_prob_rejects_empty():
         lk.toy_outcome_prob(1.0, np.array([]))
 
 
+def test_half_angle_matches_libm_cos_and_sin():
+    rng = RngStream(5)
+    x = np.concatenate([rng.uniform(-2e4, 2e4, 200_000),
+                        np.arange(-12732, 12733) * (np.pi / 2), [0.0, -0.0]])
+    sin, one_m_cos, cos = lk._half_angle(0.5 * x, np.empty_like(x), np.empty_like(x))
+    assert np.max(np.abs(sin - np.sin(x))) <= 1e-15
+    assert np.max(np.abs(cos - np.cos(x))) <= 1e-15
+    assert np.max(np.abs(one_m_cos - (1.0 - np.cos(x)))) <= 1e-15
+
+
+def _toy_data(n, m=96, seed=7):
+    model = lk.ToyModel(n=n)
+    rng = RngStream(seed)
+    truth = rng.uniform(0.0, 1.0, n)
+    records = [model.sample_record(rng, float(t), truth, 256) for t in 10.0 ** rng.uniform(-1, 3, m)]
+    return model, records, rng
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_toy_batch_loglik_is_independent_of_block_size(monkeypatch, weighted):
+    model, records, rng = _toy_data(5)
+    data = model.prepare(records)
+    omega = rng.uniform(0.0, 1.0, (37, 5))
+    weights = rng.uniform(0.0, 1.0, len(records)) if weighted else None
+    results = []
+    for elems in (1, 10 ** 9):
+        monkeypatch.setattr(lk, "_BLOCK_ELEMS", elems)
+        results.append(model.batch_loglik(data, omega, grad_weights=weights))
+    (ll_1, grad_1, _), (ll_all, grad_all, _) = results
+    assert np.array_equal(ll_1, ll_all) and np.array_equal(grad_1, grad_all)
+
+
+def test_toy_record_loglik_rows_equal_single_particle_calls():
+    model, records, rng = _toy_data(4, m=8)
+    particles = rng.uniform(0.0, 1.0, (300, 4))
+    for record in records:
+        rows = model.record_loglik(record, particles)
+        singles = np.concatenate([model.record_loglik(record, w) for w in particles])
+        assert np.array_equal(rows, singles)
+
+
 def test_toy_batch_gradient_matches_fd():
     model = lk.ToyModel(n=3)
     rng = RngStream(3)
@@ -158,6 +199,33 @@ def test_outcome_prob_bounds_on_random_draws():
     a = rng.uniform(-1.0, 1.0, 8)
     p0 = lk.dd_outcome_prob(taus, 32, a, phi, OMEGA_L)
     assert np.all(p0 >= 0.0) and np.all(p0 <= 1.0)
+
+
+def test_outcome_prob_blocks_the_records_of_one_long_row():
+    # the call of test_outcome_prob_bounds_on_random_draws: one coupling
+    # vector over a million records runs in record blocks, not in ~11 full
+    # (4, 1e6) kernel buffers, and gives what calls on record chunks give
+    rng = RngStream(37)
+    n = 1_000_000
+    taus = rng.uniform(0.01, 50.0, n)
+    phi = lk.NuisanceParams(t2_inv=1e-3)
+    a = rng.uniform(-1.0, 1.0, 8)
+    tracemalloc.start()
+    try:
+        p0 = lk.dd_outcome_prob(taus, 32, a, phi, OMEGA_L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    chunks = [lk.dd_outcome_prob(taus[i:i + 125_000], 32, a, phi, OMEGA_L)
+              for i in range(0, n, 125_000)]
+    assert np.array_equal(p0, np.concatenate(chunks))
+    # mixed N_pi: the record blocks slice the ladder masks
+    n_pi = rng.integers(1, 65, 100_000)
+    p0 = lk.dd_outcome_prob(taus[:100_000], n_pi, a, phi, OMEGA_L)
+    chunks = [lk.dd_outcome_prob(taus[i:i + 5_000], n_pi[i:i + 5_000], a, phi, OMEGA_L)
+              for i in range(0, 100_000, 5_000)]
+    assert np.array_equal(p0, np.concatenate(chunks))
 
 
 @pytest.mark.parametrize("n_pi", ["fixed", "mixed"])
