@@ -10,8 +10,8 @@ gradients alongside values so the trainer never needs finite differences.
 
 Every cosine and sine over a full-size array comes from one ``tan`` pass
 (:func:`_half_angle`): float64 ``np.tan`` is vectorised where ``np.cos`` and
-``np.sin`` may not be (about 2 against 20 ns per element on an AVX-512 Xeon
-with numpy's default build).  The batched kernels run in blocks of about
+``np.sin`` may not be (about 2 against 20-30 ns per element with numpy 2.4 on
+an AVX-512 Xeon).  The batched kernels run in blocks of about
 ``_BLOCK_ELEMS`` elements over one reused workspace (:func:`_row_blocks`).
 """
 
