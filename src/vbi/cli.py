@@ -169,15 +169,13 @@ def cmd_plotdata(args) -> int:
     n_draws = config.get("plot", {}).get("draws", 256)
 
     taus = np.array([r.tau_us for r in records])
+    n_pi = np.array([r.n_pi for r in records])
     if n_draws > 0:
         thetas, _, _ = flows.sample_batch(params, n_draws, RngStream(args.seed or 0))
     else:  # degenerate posterior: evaluate at the flow image of z = 0
         thetas = flows.flow_forward(np.zeros(params.d), params)[0][None, :]
     thetas = pipeline.build_prior(config).transform(thetas)
-    if kind == MODEL_TOY:
-        curves = model.outcome_prob(taus, thetas[:, None, :])
-    else:
-        curves = 1.0 - model.outcome_prob_zero(taus, records[0].n_pi, thetas, phi)
+    curves = model.outcome_prob(taus, n_pi, thetas, phi)
     y_fit = curves.mean(axis=0)
     y_std = curves.std(axis=0) if curves.shape[0] > 1 else np.zeros_like(y_fit)
 

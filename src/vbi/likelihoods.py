@@ -8,6 +8,12 @@ throughout (omega_L = 2.7 "MHz" corresponds to a 0.43 MHz precession).
 All evaluators are immutable; the batched entry points return analytic
 gradients alongside values so the trainer never needs finite differences.
 
+:class:`ToyModel` and :class:`DDModel` share one interface: ``prepare(records)``;
+``dim``, the length of theta; ``outcome_prob(tau, n_pi, theta, phi)``, p of the
+recorded outcome (+1, or b = 1 for DD), one row per vector of a (B, dim) stack;
+``record_loglik(record, theta, phi)``, one record's log-likelihood per stack
+row; and ``batch_loglik(data, theta, phi, grad_weights)`` with its gradients.
+
 Every cosine and sine over a full-size array comes from one ``tan`` pass
 (:func:`_half_angle`): float64 ``np.tan`` is vectorised where ``np.cos`` and
 ``np.sin`` may not be (about 2 against 20-30 ns per element with numpy 2.4 on
@@ -153,8 +159,16 @@ class ToyModel:
             raise ModelError("toy model needs at least one frequency")
         self.n = n
 
-    def outcome_prob(self, tau, omega):
-        return toy_outcome_prob(tau, omega)
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    def outcome_prob(self, tau, n_pi, omega, phi):
+        """p(+1) at the broadcast controls, one row per vector of an (B, n) stack."""
+        omega = np.asarray(omega, dtype=float)
+        shape = np.broadcast(tau, n_pi).shape
+        omega = omega.reshape(omega.shape[:-1] + (1,) * len(shape) + omega.shape[-1:])
+        return toy_outcome_prob(np.broadcast_to(np.asarray(tau, dtype=float), shape), omega)
 
     def prepare(self, records) -> _ToyData:
         tau = np.array([r.tau_us for r in records])
@@ -195,18 +209,18 @@ class ToyModel:
             grad[rows] = np.einsum("bm,bmn->bn", dll_dp, dp_dw)
         return ll, grad, np.zeros((n_rows, 0))
 
-    def record_loglik(self, record: MeasurementRecord, omega: np.ndarray) -> np.ndarray:
-        """Per-hypothesis log-likelihood of one record; used by the particle filter."""
+    def record_loglik(self, record: MeasurementRecord, omega, phi=None) -> np.ndarray:
+        """Per-hypothesis log-likelihood of one record; used by the particle filter.
+
+        It omits log C(R, c), constant in omega, which cancels in the particle
+        weight normalisation and in the surrogate information gain's variance
+        over theta.  ``benchmarks/reference.py`` pins these values.
+        """
         half = np.atleast_2d(omega) * (0.5 * record.tau_us)
         c = round(record.y * record.repetitions)
         p, _ = _toy_prob(half, np.empty((2, *half.shape)))
         p = np.clip(p, 1e-300, 1.0 - 1e-16)
         return c * np.log(p) + (record.repetitions - c) * np.log1p(-p)
-
-    def sample_record(self, rng, tau: float, omega, repetitions: int) -> MeasurementRecord:
-        p = toy_outcome_prob(tau, np.asarray(omega, dtype=float))
-        c = int(rng.binomial(repetitions, p))
-        return MeasurementRecord(tau_us=tau, n_pi=1, repetitions=repetitions, y=c / repetitions)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +500,9 @@ class DDModel:
     def dim(self) -> int:
         return 2 * self.k_spins
 
-    def outcome_prob_zero(self, tau, n_pi, couplings, phi: NuisanceParams):
-        return dd_outcome_prob(tau, n_pi, couplings, phi, self.omega_l, self.eta_stretch)
+    def outcome_prob(self, tau, n_pi, couplings, phi: NuisanceParams):
+        """p(b = 1) = 1 - p(y=0) of :func:`dd_outcome_prob`, shaped as it shapes p(y=0)."""
+        return 1.0 - dd_outcome_prob(tau, n_pi, couplings, phi, self.omega_l, self.eta_stretch)
 
     def prepare(self, records) -> _DDData:
         tau = np.array([r.tau_us for r in records])
@@ -583,20 +598,10 @@ class DDModel:
         ], axis=1)
         return ll, grad_a, grad_phi
 
-    def loglik_terms(self, records, couplings, phi: NuisanceParams) -> np.ndarray:
-        """Per-record log-likelihoods of one coupling vector, or (B, M) of a (B, 2K) stack."""
-        tau = np.array([r.tau_us for r in records])
-        n_pi = np.array([r.n_pi for r in records])
-        p1 = 1.0 - np.atleast_1d(self.outcome_prob_zero(tau, n_pi, couplings, phi))
-        return gaussian_outcome_loglik(np.array([r.y for r in records]), p1, phi.chi, phi.eta)
-
-    def sample_record(self, rng, tau: float, n_pi: int, repetitions: int, couplings,
-                      phi: NuisanceParams, eta0: float = 0.0) -> MeasurementRecord:
-        """Bernoulli draws plus extra Gaussian readout noise; y counts b = 1."""
-        p0 = self.outcome_prob_zero(tau, n_pi, couplings, phi)
-        c = int(rng.binomial(repetitions, 1.0 - p0))
-        y = c / repetitions + (float(rng.normal(0.0, eta0)) if eta0 > 0 else 0.0)
-        return MeasurementRecord(tau_us=tau, n_pi=n_pi, repetitions=repetitions, y=y)
+    def record_loglik(self, record: MeasurementRecord, couplings, phi) -> np.ndarray:
+        """Log-likelihood of one record under each row of a (B, 2K) stack."""
+        p1 = self.outcome_prob(record.tau_us, record.n_pi, np.atleast_2d(couplings), phi)
+        return gaussian_outcome_loglik(record.y, p1, phi.chi, phi.eta)
 
 
 class GaussianLocationModel:
@@ -629,14 +634,10 @@ class GaussianLocationModel:
         theta = np.atleast_2d(theta)[:, 0]
         return log_gaussian_density(record.y, theta, self.noise_std ** 2)
 
-    def sample_record(self, rng, tau: float, theta, repetitions: int = 1) -> MeasurementRecord:
-        y = float(np.asarray(theta).reshape(-1)[0] + rng.normal(0.0, self.noise_std))
-        return MeasurementRecord(tau_us=tau, n_pi=1, repetitions=repetitions, y=y)
-
 
 def log_joint(records, theta, phi, model) -> float:
     """Compensated sum of per-record log-likelihoods (order-independent)."""
     if not records:
         raise ValueError("dataset must be non-empty")
-    terms = model.loglik_terms(records, np.asarray(theta, dtype=float), phi)
-    return math.fsum(terms.tolist())
+    theta = np.asarray(theta, dtype=float)
+    return math.fsum(float(model.record_loglik(r, theta, phi)[0]) for r in records)

@@ -407,8 +407,7 @@ def fit_dataset(config: dict, records, seed: int):
     kind = config["model"]["kind"]
     model = build_model(config)
     tcfg = _train_config(config, seed, kind)
-    d = model.dim if kind == MODEL_DD else model.n
-    spec = flows.AnsatzSpec(d=d, **config.get("ansatz", {}))
+    spec = flows.AnsatzSpec(d=model.dim, **config.get("ansatz", {}))
     if kind == MODEL_DD:
         init = _dd_init_params(spec, model.k_spins, tcfg.seed, records, model.omega_l,
                                model_setting(config, "n_pi"))

@@ -83,25 +83,29 @@ def simulate_dataset(cfg: ScenarioConfig) -> list[MeasurementRecord]:
         model = DDModel(k_spins=cfg.theta_true.size // 2, omega_l=cfg.omega_l,
                         eta_stretch=cfg.eta_stretch)
         taus = np.linspace(cfg.tau_min_us, cfg.tau_max_us, cfg.m_points)
-        phi = NuisanceParams(t2_inv=cfg.t2_inv)
-        p0 = np.atleast_1d(model.outcome_prob_zero(taus, cfg.n_pi, cfg.theta_true, phi))
-        if np.any(~np.isfinite(p0)) or np.any(p0 < 0) or np.any(p0 > 1):
-            raise ModelError("ground truth produced probabilities outside [0, 1]")
-        counts = rng.binomial(cfg.repetitions, 1.0 - p0)
-        noise = rng.normal(0.0, cfg.eta0, cfg.m_points) if cfg.eta0 > 0 else np.zeros(cfg.m_points)
-        ys = counts / cfg.repetitions + noise
-        return [MeasurementRecord(float(t), cfg.n_pi, cfg.repetitions, float(y))
-                for t, y in zip(taus, ys)]
+        n_pi, eta0 = cfg.n_pi, cfg.eta0
+    else:
+        model = ToyModel(n=cfg.theta_true.size)
+        lo, hi = cfg.log_tau_range
+        taus = 10.0 ** rng.uniform(lo, hi, cfg.m_points)
+        n_pi, eta0 = 1, 0.0
+    return sample_records(model, rng, taus, n_pi, cfg.theta_true,
+                          NuisanceParams(t2_inv=cfg.t2_inv), cfg.repetitions, eta0=eta0)
 
-    model = ToyModel(n=cfg.theta_true.size)
-    lo, hi = cfg.log_tau_range
-    taus = 10.0 ** rng.uniform(lo, hi, cfg.m_points)
-    p = np.atleast_1d(model.outcome_prob(taus, cfg.theta_true))
+
+def sample_records(model, rng: RngStream, taus, n_pi: int, theta, phi: NuisanceParams,
+                   repetitions: int, eta0: float = 0.0) -> list[MeasurementRecord]:
+    """One record per tau: y is the fraction of R Bernoulli draws of the model's
+    recorded outcome plus N(0, eta0^2) noise.  Every count is drawn before any
+    noise; array ``binomial`` draws what one call per tau would."""
+    taus = np.asarray(taus, dtype=float)
+    p = np.atleast_1d(model.outcome_prob(taus, n_pi, theta, phi))
     if np.any(~np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
         raise ModelError("ground truth produced probabilities outside [0, 1]")
-    counts = rng.binomial(cfg.repetitions, p)
-    return [MeasurementRecord(float(t), 1, cfg.repetitions, float(c / cfg.repetitions))
-            for t, c in zip(taus, counts)]
+    ys = rng.binomial(repetitions, p) / repetitions
+    if eta0 > 0:
+        ys = ys + rng.normal(0.0, eta0, taus.size)
+    return [MeasurementRecord(float(t), n_pi, repetitions, float(y)) for t, y in zip(taus, ys)]
 
 
 def strongly_coupled_bath(k: int, rng: RngStream, az_range=(-0.3, 0.3),

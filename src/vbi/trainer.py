@@ -20,6 +20,7 @@ from . import flows
 from .errors import DegenerateAnsatzWarning, TrainingDiverged
 from .likelihoods import NuisanceParams
 from .probcore import LOG_TWO_PI, RngStream, softplus, softplus_inv
+from .simulator import sample_records
 
 REG_NONE = "none"
 REG_L1 = "l1"
@@ -430,14 +431,16 @@ def surrogate_information_gain(x_control, params: flows.FlowParameters, model,
     """Monte-Carlo E_y{ Var_theta[ log p(y | x, theta) ] } under the ansatz.
 
     Outcomes y are drawn from the posterior predictive: theta' ~ q, then one
-    simulated record at the candidate control.  Returns 0 (with a
-    DegenerateAnsatzWarning) when the ansatz has collapsed to a point.
+    simulated record at the candidate control x = (tau, n_pi).  Returns 0 (with
+    a DegenerateAnsatzWarning) when the ansatz has collapsed to a point.
     """
     if n_theta < 2:
         raise ValueError("variance needs n_theta >= 2")
     if n_y < 2:
         raise ValueError("need n_y >= 2 predictive draws")
+    tau, n_pi = x_control
     prior = prior or PriorSpec()
+    phi = phi or NuisanceParams()
     theta_rng, y_rng = rng.split(2)
     thetas, _, _ = flows.sample_batch(params, n_theta, theta_rng)
     thetas = prior.transform(thetas)
@@ -449,18 +452,6 @@ def surrogate_information_gain(x_control, params: flows.FlowParameters, model,
 
     variances = np.empty(n_y)
     for j in range(n_y):
-        record = _simulate_at(model, x_control, pred_thetas[j], phi, repetitions, y_rng)
-        if hasattr(model, "record_loglik"):
-            ll = model.record_loglik(record, thetas)
-        else:
-            ll = model.loglik_terms([record], thetas, phi or NuisanceParams())[:, 0]
-        variances[j] = float(np.var(ll, ddof=1))
+        record, = sample_records(model, y_rng, [tau], n_pi, pred_thetas[j], phi, repetitions)
+        variances[j] = float(np.var(model.record_loglik(record, thetas, phi), ddof=1))
     return float(variances.mean())
-
-
-def _simulate_at(model, x_control, theta, phi, repetitions, rng):
-    if hasattr(model, "outcome_prob_zero"):
-        tau, n_pi = x_control if isinstance(x_control, tuple) else (x_control, 32)
-        return model.sample_record(rng, tau, n_pi, repetitions, theta,
-                                   phi or NuisanceParams())
-    return model.sample_record(rng, float(x_control), theta, repetitions)

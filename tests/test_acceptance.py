@@ -286,8 +286,7 @@ def test_criterion_6_goodness_of_fit(spin_identification_runs):
         model = DDModel(10, OMEGA_L)
         taus = np.array([r.tau_us for r in run["records"]])
         ys = np.array([r.y for r in run["records"]])
-        p1 = 1.0 - np.atleast_1d(model.outcome_prob_zero(
-            taus, 32, run["params"].mu, run["phi"]))
+        p1 = np.atleast_1d(model.outcome_prob(taus, 32, run["params"].mu, run["phi"]))
         rms = float(np.sqrt(np.mean((ys - p1) ** 2)))
         noise = math.sqrt(0.25 / 1024 + 1e-4)
         worst = max(worst, rms / noise)

@@ -399,8 +399,7 @@ def test_plotdata_degenerate_matches_model_curve(tmp_path):
     lines = (out / "signal.csv").read_text().strip().splitlines()[1:]
     for rec, line in zip(records, lines):
         y_fit = float(line.split(",")[2])
-        p1 = 1.0 - model.outcome_prob_zero(rec.tau_us, rec.n_pi, truth,
-                                           NuisanceParams(t2_inv=t2_inv))
+        p1 = model.outcome_prob(rec.tau_us, rec.n_pi, truth, NuisanceParams(t2_inv=t2_inv))
         assert y_fit == pytest.approx(p1, abs=1e-5)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vbi import likelihoods as lk
 from vbi.errors import ModelError
 from vbi.probcore import RngStream, log_gaussian_density
-from vbi.simulator import omega_larmor, resonance_delays
+from vbi.simulator import omega_larmor, resonance_delays, sample_records
 
 OMEGA_L = omega_larmor(403.0)
 
@@ -50,7 +50,7 @@ def _toy_data(n, m=96, seed=7):
     model = lk.ToyModel(n=n)
     rng = RngStream(seed)
     truth = rng.uniform(0.0, 1.0, n)
-    records = [model.sample_record(rng, float(t), truth, 256) for t in 10.0 ** rng.uniform(-1, 3, m)]
+    records = sample_records(model, rng, 10.0 ** rng.uniform(-1, 3, m), 1, truth, None, 256)
     return model, records, rng
 
 
@@ -80,8 +80,8 @@ def test_toy_record_loglik_rows_equal_single_particle_calls():
 def test_toy_batch_gradient_matches_fd():
     model = lk.ToyModel(n=3)
     rng = RngStream(3)
-    records = [model.sample_record(rng, float(t), np.array([0.2, 0.5, 0.9]), 64)
-               for t in 10.0 ** rng.uniform(-1, 2, 12)]
+    records = sample_records(model, rng, 10.0 ** rng.uniform(-1, 2, 12), 1,
+                             np.array([0.2, 0.5, 0.9]), None, 64)
     data = model.prepare(records)
     omega = np.array([[0.25, 0.48, 0.85], [0.1, 0.6, 0.95]])
     _, grad, _ = model.batch_loglik(data, omega)
@@ -234,18 +234,22 @@ def test_outcome_prob_stacked_couplings_equal_row_calls(n_pi):
     taus = rng.uniform(6.0, 8.5, 512)
     n_pi = 32 if n_pi == "fixed" else rng.integers(1, 40, 512)
     phi = lk.NuisanceParams(t2_inv=1e-4)
-    stack = rng.uniform(-0.4, 0.4, (33, 20))
-    stacked = lk.dd_outcome_prob(taus, n_pi, stack, phi, OMEGA_L)
-    assert stacked.shape == (33, 512)
-    rows = np.stack([lk.dd_outcome_prob(taus, n_pi, a, phi, OMEGA_L) for a in stack])
-    assert np.array_equal(stacked, rows)
-    # one record: a stack gives (B,), a single vector a float
     n_0 = n_pi if np.ndim(n_pi) == 0 else n_pi[0]
-    stacked = lk.dd_outcome_prob(taus[0], n_0, stack, phi, OMEGA_L)
-    assert stacked.shape == (33,)
-    rows = [lk.dd_outcome_prob(taus[0], n_0, a, phi, OMEGA_L) for a in stack]
-    assert all(isinstance(p, float) for p in rows)
-    assert np.array_equal(stacked, rows)
+    probs = [(lambda tau, n, a, phi: lk.dd_outcome_prob(tau, n, a, phi, OMEGA_L), 20),
+             (lk.DDModel(k_spins=10, omega_l=OMEGA_L).outcome_prob, 20),
+             (lk.ToyModel(n=4).outcome_prob, 4)]
+    for prob, d in probs:
+        stack = rng.uniform(-0.4, 0.4, (33, d))
+        stacked = prob(taus, n_pi, stack, phi)
+        assert stacked.shape == (33, 512)
+        rows = np.stack([prob(taus, n_pi, a, phi) for a in stack])
+        assert np.array_equal(stacked, rows)
+        # one record: a stack gives (B,), a single vector a float
+        stacked = prob(taus[0], n_0, stack, phi)
+        assert stacked.shape == (33,)
+        rows = [prob(taus[0], n_0, a, phi) for a in stack]
+        assert all(isinstance(p, float) for p in rows)
+        assert np.array_equal(stacked, rows)
     # the toy model takes a stack of frequency vectors on a leading axis
     omegas = rng.uniform(0.0, 1.0, (33, 4))
     rows = np.stack([lk.toy_outcome_prob(taus, w) for w in omegas])
@@ -315,7 +319,7 @@ def test_log_joint_single_and_duplicate():
     theta = np.array([0.1, 0.3, -0.15, 0.2])
     rec = _dd_records(1, 1)
     single = lk.log_joint(rec, theta, phi, model)
-    assert single == pytest.approx(model.loglik_terms(rec, theta, phi)[0])
+    assert single == pytest.approx(model.record_loglik(rec[0], theta, phi)[0])
     assert lk.log_joint(rec * 2, theta, phi, model) == pytest.approx(2 * single, abs=1e-12)
 
 

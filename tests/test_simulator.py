@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vbi import simulator as sim
-from vbi.likelihoods import DDModel, NuisanceParams
+from vbi.likelihoods import DDModel, NuisanceParams, ToyModel
 from vbi.probcore import RngStream
 
 
@@ -53,8 +53,8 @@ def test_simulate_concentrates_on_model_curve():
     records = sim.simulate_dataset(cfg)
     model = DDModel(2, cfg.omega_l)
     for r in records:
-        p1 = 1.0 - model.outcome_prob_zero(r.tau_us, r.n_pi, cfg.theta_true,
-                                           NuisanceParams(t2_inv=cfg.t2_inv))
+        p1 = model.outcome_prob(r.tau_us, r.n_pi, cfg.theta_true,
+                                NuisanceParams(t2_inv=cfg.t2_inv))
         assert abs(r.y - p1) <= 3 * math.sqrt(max(p1 * (1 - p1), 1e-12) / 8192) + 1e-9
 
 
@@ -62,8 +62,8 @@ def test_simulated_mean_converges_over_seeds():
     cfg0 = dd_config(m_points=12, repetitions=256)
     model = DDModel(2, cfg0.omega_l)
     taus = np.linspace(cfg0.tau_min_us, cfg0.tau_max_us, cfg0.m_points)
-    p1 = 1.0 - np.atleast_1d(model.outcome_prob_zero(taus, cfg0.n_pi, cfg0.theta_true,
-                                                     NuisanceParams(t2_inv=cfg0.t2_inv)))
+    p1 = np.atleast_1d(model.outcome_prob(taus, cfg0.n_pi, cfg0.theta_true,
+                                          NuisanceParams(t2_inv=cfg0.t2_inv)))
     stack = []
     for seed in range(200):
         records = sim.simulate_dataset(dd_config(m_points=12, repetitions=256, seed=seed))
@@ -71,6 +71,33 @@ def test_simulated_mean_converges_over_seeds():
     mean_y = np.mean(stack, axis=0)
     se = np.sqrt((p1 * (1 - p1) / 256 + cfg0.eta0 ** 2) / 200)
     assert np.all(np.abs(mean_y - p1) <= 3 * se + 1e-12)
+
+
+def _sampler_case(kind):
+    """(model, taus, n_pi, theta, phi) of one sampler test case."""
+    if kind == "toy":
+        return ToyModel(2), 10.0 ** RngStream(4).uniform(-1, 2, 24), 1, np.array([0.3, 0.7]), None
+    return (DDModel(2, sim.omega_larmor(403.0)), np.linspace(6.0, 8.5, 24), 24,
+            np.array([0.05, 0.25, -0.1, 0.3]), NuisanceParams(t2_inv=1e-4))
+
+
+@pytest.mark.parametrize("kind", ["toy", "dd"])
+def test_sample_records_one_call_equals_one_call_per_tau(kind):
+    model, taus, n_pi, theta, phi = _sampler_case(kind)
+    records = sim.sample_records(model, RngStream(5), taus, n_pi, theta, phi, 256)
+    rng = RngStream(5)
+    singles = [sim.sample_records(model, rng, [t], n_pi, theta, phi, 256)[0] for t in taus]
+    assert records == singles
+    assert all(r.n_pi == n_pi for r in records)
+
+
+def test_sample_records_draws_every_count_before_the_noise():
+    model, taus, n_pi, theta, phi = _sampler_case("dd")
+    noisy = sim.sample_records(model, RngStream(6), taus, n_pi, theta, phi, 256, eta0=0.01)
+    rng = RngStream(6)
+    clean = sim.sample_records(model, rng, taus, n_pi, theta, phi, 256)
+    noise = rng.normal(0.0, 0.01, taus.size)
+    assert [r.y for r in noisy] == [r.y + d for r, d in zip(clean, noise)]
 
 
 def test_toy_simulation_fraction_outcomes():
@@ -89,7 +116,7 @@ def test_single_spin_dips_match_resonance_formula():
     cfg = dd_config(theta_true=truth, m_points=8000, repetitions=1, t2_inv=0.0, eta0=0.0)
     model = DDModel(1, cfg.omega_l)
     taus = np.linspace(cfg.tau_min_us, cfg.tau_max_us, cfg.m_points)
-    p0 = np.atleast_1d(model.outcome_prob_zero(taus, cfg.n_pi, truth, NuisanceParams()))
+    p0 = 1.0 - np.atleast_1d(model.outcome_prob(taus, cfg.n_pi, truth, NuisanceParams()))
     step = taus[1] - taus[0]
     for m in (6, 7):
         tau_m = sim.resonance_delays(m, truth[0], cfg.omega_l)

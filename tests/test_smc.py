@@ -7,6 +7,7 @@ from scipy import stats
 from vbi import smc
 from vbi.likelihoods import GaussianLocationModel, MeasurementRecord, ToyModel
 from vbi.probcore import RngStream
+from vbi.simulator import sample_records
 
 
 def test_pf_init_uniform():
@@ -163,8 +164,7 @@ def test_pf_run_sorts_records_by_tau():
     model = ToyModel(n=1)
     rng = RngStream(12)
     truth = np.array([0.4])
-    records = [model.sample_record(rng, float(t), truth, 256)
-               for t in 10.0 ** rng.uniform(-1, 1.5, 30)]
+    records = sample_records(model, rng, 10.0 ** rng.uniform(-1, 1.5, 30), 1, truth, None, 256)
     ens_a = smc.pf_run(smc.pf_init(np.zeros(1), np.ones(1), 512, RngStream(13)),
                        records, model)
     ens_b = smc.pf_run(smc.pf_init(np.zeros(1), np.ones(1), 512, RngStream(13)),

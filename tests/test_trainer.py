@@ -8,7 +8,7 @@ from vbi.errors import DegenerateAnsatzWarning, TrainingDiverged
 from vbi.likelihoods import (DDModel, GaussianLocationModel, MeasurementRecord,
                              NuisanceParams, ToyModel)
 from vbi.probcore import RngStream
-from vbi.simulator import omega_larmor
+from vbi.simulator import omega_larmor, sample_records
 from vbi.trainer import (PriorSpec, RegularizerSpec, TrainConfig, _fitted_sigma,
                          _regularizer_terms, estimate_elbo, surrogate_information_gain,
                          train)
@@ -153,8 +153,8 @@ def test_elbo_gradients_match_finite_differences(family, k_spins, reg_kind):
 def test_elbo_gradients_with_box_prior_squash():
     model = ToyModel(n=2)
     rng = RngStream(12)
-    records = [model.sample_record(rng, float(t), np.array([0.3, 0.7]), 128)
-               for t in (0.5, 2.0, 5.0, 11.0)]
+    records = sample_records(model, rng, [0.5, 2.0, 5.0, 11.0], 1, np.array([0.3, 0.7]),
+                             None, 128)
     data = model.prepare(records)
     spec = flows.AnsatzSpec(d=2, family="mean-field")
     params = flows.init_flow_parameters(spec, np.array([0.4, 0.6]), 0.1 * np.ones(2))
@@ -200,7 +200,7 @@ def test_toy_training_recovers_frequency():
     model = ToyModel(n=1)
     rng = RngStream(21)
     taus = 10.0 ** rng.uniform(-1, 2.5, 256)
-    records = [model.sample_record(rng, float(t), truth, 1024) for t in taus]
+    records = sample_records(model, rng, taus, 1, truth, None, 1024)
     config = TrainConfig(batch=64, steps=600, lr_start=1e-2, lr_end=1e-3, seed=2,
                          prior=PriorSpec(kind="box", low=np.zeros(1), high=np.ones(1)))
     params, _, trace = train(config, records, model, flows.AnsatzSpec(d=1, family="mean-field"))
@@ -231,7 +231,8 @@ def test_dd_smoke_fit_residuals_within_noise():
     taus = np.linspace(6.0, 8.5, 192)
     phi_true = NuisanceParams(t2_inv=1e-4)
     rng = RngStream(6)
-    records = [model.sample_record(rng, float(t), 32, 1024, truth, phi_true, eta0=0.01)
+    # one call per tau, so each record's binomial and noise draws interleave
+    records = [sample_records(model, rng, [t], 32, truth, phi_true, 1024, eta0=0.01)[0]
                for t in taus]
     spec = flows.AnsatzSpec(d=4, family="mean-field")
     mu0 = np.array([0.04, 0.25, -0.10, 0.25])
@@ -240,8 +241,7 @@ def test_dd_smoke_fit_residuals_within_noise():
                          regularizer=RegularizerSpec("l2", 1e-2, trainable=True),
                          phi0=NuisanceParams(t2_inv=1e-6, chi=1.0 / 1024, eta=1e-3))
     params, phi, trace = trainer.train_from(config, records, model, init)
-    p0_fit = model.outcome_prob_zero(taus, 32, params.mu, phi)
-    y_fit = 1.0 - p0_fit
+    y_fit = model.outcome_prob(taus, 32, params.mu, phi)
     resid = np.array([r.y for r in records]) - y_fit
     noise = np.sqrt(0.25 / 1024 + 1e-4)
     assert float(np.sqrt(np.mean(resid ** 2))) <= 3 * noise
@@ -278,15 +278,15 @@ def test_sig_zero_for_theta_independent_model():
     class FlatModel:
         n_nuisance = 0
 
-        def record_loglik(self, record, thetas):
-            return np.zeros(np.atleast_2d(thetas).shape[0])
+        def outcome_prob(self, tau, n_pi, theta, phi):
+            return np.full(np.shape(tau), 0.5)
 
-        def sample_record(self, rng, tau, theta, repetitions):
-            return MeasurementRecord(tau, 1, repetitions, 0.5)
+        def record_loglik(self, record, thetas, phi):
+            return np.zeros(np.atleast_2d(thetas).shape[0])
 
     spec = flows.AnsatzSpec(d=1, family="mean-field")
     params = flows.init_flow_parameters(spec, np.zeros(1), np.ones(1))
-    sig = surrogate_information_gain(1.0, params, FlatModel(), n_y=16, n_theta=32,
+    sig = surrogate_information_gain((1.0, 1), params, FlatModel(), n_y=16, n_theta=32,
                                      rng=RngStream(1))
     assert sig == pytest.approx(0.0, abs=1e-12)
 
@@ -299,9 +299,9 @@ def test_sig_prefers_informative_controls():
     params = flows.init_flow_parameters(spec, np.array([0.5]), np.array([0.01]))
     rng_a = RngStream(42)
     rng_b = RngStream(42)
-    sig_informative = surrogate_information_gain(np.pi, params, model, n_y=64,
+    sig_informative = surrogate_information_gain((np.pi, 1), params, model, n_y=64,
                                                  n_theta=256, rng=rng_a, repetitions=512)
-    sig_dull = surrogate_information_gain(1e-3, params, model, n_y=64, n_theta=256,
+    sig_dull = surrogate_information_gain((1e-3, 1), params, model, n_y=64, n_theta=256,
                                           rng=rng_b, repetitions=512)
     assert sig_informative > sig_dull
 
@@ -311,7 +311,7 @@ def test_sig_prefers_informative_controls():
     outer = []
     for _ in range(250):
         omega_star = 0.5 + 0.01 * float(rng.standard_normal())
-        c = int(rng.binomial(512, model.outcome_prob(np.pi, np.array([omega_star]))))
+        c = int(rng.binomial(512, model.outcome_prob(np.pi, 1, np.array([omega_star]), None)))
         rec = MeasurementRecord(np.pi, 1, 512, c / 512)
         lls = model.record_loglik(rec, thetas[:, None])
         outer.append(float(np.var(lls, ddof=1)))
@@ -323,23 +323,24 @@ def test_sig_guards():
     spec = flows.AnsatzSpec(d=1, family="mean-field")
     params = flows.init_flow_parameters(spec, np.zeros(1), np.ones(1))
     with pytest.raises(ValueError):
-        surrogate_information_gain(1.0, params, ToyModel(1), n_y=8, n_theta=1,
+        surrogate_information_gain((1.0, 1), params, ToyModel(1), n_y=8, n_theta=1,
                                    rng=RngStream(0))
     degenerate = flows.init_flow_parameters(spec, np.array([0.5]), np.array([1e-300]))
     with pytest.warns(DegenerateAnsatzWarning):
-        sig = surrogate_information_gain(1.0, degenerate, ToyModel(1), n_y=8, n_theta=8,
+        sig = surrogate_information_gain((1.0, 1), degenerate, ToyModel(1), n_y=8, n_theta=8,
                                          rng=RngStream(0))
     assert sig == 0.0
 
 
-def test_sig_dd_model_equals_per_theta_loop():
-    # DDModel has no record_loglik: SIG scores all theta draws in one stacked
-    # loglik_terms call, which must equal scoring them one at a time
+@pytest.mark.parametrize("n_pi", [24, 32])
+def test_sig_dd_model_equals_per_theta_loop(n_pi):
+    # SIG scores all theta draws in one stacked record_loglik call, which must
+    # equal scoring them one at a time, at the N_pi of the control
     model = DDModel(k_spins=2, omega_l=omega_larmor(403.0))
     spec = flows.AnsatzSpec(d=4, family="mean-field")
     params = flows.init_flow_parameters(spec, np.array([-0.1, 0.3, 0.15, 0.25]),
                                         np.full(4, 0.01))
-    sig = surrogate_information_gain((7.0, 32), params, model, n_y=8, n_theta=64,
+    sig = surrogate_information_gain((7.0, n_pi), params, model, n_y=8, n_theta=64,
                                      rng=RngStream(3))
 
     theta_rng, y_rng = RngStream(3).split(2)
@@ -348,8 +349,9 @@ def test_sig_dd_model_equals_per_theta_loop():
     phi = NuisanceParams()
     variances = []
     for pred in preds:
-        record = model.sample_record(y_rng, 7.0, 32, 1, pred, phi)
-        ll = np.array([model.loglik_terms([record], th, phi).sum() for th in thetas])
+        record, = sample_records(model, y_rng, [7.0], n_pi, pred, phi, 1)
+        assert record.n_pi == n_pi
+        ll = np.array([model.record_loglik(record, th, phi)[0] for th in thetas])
         variances.append(float(np.var(ll, ddof=1)))
     assert sig > 0.0
     assert sig == float(np.mean(variances))
