@@ -8,9 +8,7 @@ runs in about a minute; the full desk-scale run is acceptance criterion 6.
 
 import numpy as np
 
-from vbi import flows, selection
-from vbi.pipeline import fit_dataset
-from vbi.probcore import RngStream
+from vbi.pipeline import fit_dataset, select_spins
 from vbi.simulator import ScenarioConfig, simulate_dataset, total_measurement_time
 
 truth = np.array([-0.18, 0.32, 0.04, 0.22, 0.21, 0.40])  # (A_z, A_perp) pairs
@@ -26,21 +24,17 @@ config = {
               "m_points": 256, "repetitions": 1024},
     "train": {"batch": 64, "steps": 600, "seed": 0},
     "regularizer": {"kind": "l2", "sigma": 1e-3, "trainable": True},
+    "selection": {"draws": 2048},
 }
 params, phi, trace = fit_dataset(config, records, seed=0)
 print(f"fit done, smoothed ELBO {trace.smoothed_elbo():.1f}, "
       f"T2 = {1 / max(phi.t2_inv, 1e-12) / 1000:.1f} ms")
 
-theta, _, _ = flows.sample_batch(params, 2048, RngStream(99))
-sample_set = selection.build_sample_set(theta, aperp_threshold=0.05)
+truth_2d = truth.reshape(-1, 2)
+sample_set, clusters, metrics, _ = select_spins(config, params, 99, truth_2d)
 print("class probabilities:",
       {c: round(p, 3) for c, p in sorted(sample_set.probabilities.items())})
 print(f"MAP class: {sample_set.map_class} spins")
-
-points = selection.marginalize_spins(sample_set.class_sets[sample_set.map_class])
-clusters = selection.cluster_spins(points, sample_set.map_class, seed=0)
-truth_2d = truth.reshape(-1, 2)
-metrics = selection.ml_metrics(clusters, truth_2d, t=4.0)
 print(f"precision {metrics.precision:.2f}, recall {metrics.recall:.2f}, "
       f"F1 {metrics.f1:.2f}")
 for cluster in sorted(clusters, key=lambda c: c.mu[0]):

@@ -11,12 +11,13 @@ Public surface by module:
 * :mod:`vbi.trainer`     -- Monte-Carlo ELBO, regularizers, ADAM training,
   surrogate information gain.
 * :mod:`vbi.smc`         -- particle-filter baseline and error metrics.
-* :mod:`vbi.selection`   -- thresholding, class probabilities, clustering,
-  precision/recall/F1 scoring.
+* :mod:`vbi.selection`   -- one-pass thresholding of posterior draws, class
+  probabilities, clustering, precision/recall/F1 scoring.
 * :mod:`vbi.simulator`   -- synthetic datasets, measurement-time accounting,
   resolution bounds.
 * :mod:`vbi.pipeline`    -- run-config format, config-driven fit
-  (``fit_dataset``), greedy comb initialization, PF-vs-VBI benchmark rows.
+  (``fit_dataset``) and spin selection (``select_spins``), greedy comb
+  initialization, PF-vs-VBI benchmark rows.
 * :mod:`vbi.cli`         -- ``vbi simulate|fit|select|bench-pf|plotdata``, a
   shell over :mod:`vbi.pipeline`.
 

@@ -110,22 +110,9 @@ def cmd_select(args) -> int:
         raise ConfigError("select runs on the dd model only")
     out = _out_dir(args)
     params, _ = _load_checkpoint(args.checkpoint, config)
-    sc = pipeline.selection_settings(config)
-    if sc["draws"] < 1:
-        raise ConfigError("selection.draws must be >= 1")
+    truth = read_truth_json(args.ground_truth)[0] if args.ground_truth else None
     seed = args.seed if args.seed is not None else 0
-    theta, _, _ = flows.sample_batch(params, sc["draws"], RngStream(seed))
-    sample_set = selection.build_sample_set(theta, sc["aperp_threshold_mhz"], sc["az_max_mhz"])
-    clusters = []
-    if sample_set.map_class > 0:
-        points = selection.marginalize_spins(sample_set.class_sets[sample_set.map_class])
-        clusters = selection.cluster_spins(points, sample_set.map_class, seed=sc["cluster_seed"])
-    metrics = errors = None
-    if args.ground_truth:
-        truth, _, _ = read_truth_json(args.ground_truth)
-        truth = np.column_stack([truth[:, 0], np.abs(truth[:, 1])])
-        metrics = selection.ml_metrics(clusters, truth, sc["mahalanobis_t"])
-        errors = selection.hyperfine_errors(clusters, truth, sc["mahalanobis_t"])
+    sample_set, clusters, metrics, errors = pipeline.select_spins(config, params, seed, truth)
     report = selection.selection_report(sample_set, clusters, metrics, errors)
     selection.write_report(out / "selection.json", report)
     selection.write_samples_csv(out / "samples.csv", sample_set)
@@ -188,13 +175,12 @@ def cmd_plotdata(args) -> int:
         sc = pipeline.selection_settings(config)
         theta_cloud, _, _ = flows.sample_batch(params, max(n_draws, 1024),
                                                RngStream((args.seed or 0) + 1))
+        cloud = selection.build_sample_set(theta_cloud, sc["aperp_threshold_mhz"],
+                                           sc["az_max_mhz"])
         with open(out / "posterior_scatter.csv", "w") as fh:
             fh.write("az_mhz,aperp_mhz\n")
-            for th in theta_cloud:
-                _, spins = selection.threshold_and_prune(th, sc["aperp_threshold_mhz"],
-                                                         sc["az_max_mhz"])
-                for az, ap in spins:
-                    fh.write(f"{float(az)!r},{float(ap)!r}\n")
+            for az, ap in cloud.spins[cloud.keep]:
+                fh.write(f"{float(az)!r},{float(ap)!r}\n")
     print(f"wrote {out / 'signal.csv'} ({len(records)} rows)")
     return EXIT_OK
 

@@ -13,10 +13,6 @@ class NumericOverflowError(ArithmeticError):
         super().__init__(f"non-finite value in flow layer {layer}")
 
 
-class ContractViolation(RuntimeError):
-    """A caller violated a documented precondition."""
-
-
 class ModelError(ValueError):
     """A likelihood model produced an invalid probability for the supplied inputs."""
 

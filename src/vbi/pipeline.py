@@ -1,5 +1,5 @@
 """The paper's pipeline as library calls: the run-config format and the
-fit-side algorithms behind ``vbi fit`` and ``vbi bench-pf``.
+algorithms behind ``vbi fit``, ``vbi select`` and ``vbi bench-pf``.
 
 A run config is JSON with a strict schema (:func:`load_config`) picked by its
 ``model.kind``: unknown keys, and keys only the other kind reads, are rejected
@@ -8,7 +8,8 @@ silently.  A key a config leaves out takes the default of the library object
 it sets (``ScenarioConfig``, ``TrainConfig``, ...).  :func:`fit_dataset` is
 the config-driven fit: it builds the model, the training settings and the
 initial ansatz from a config and trains the posterior on a dataset.  Spin-identification fits start at the greedy comb
-fit of the data (:func:`greedy_comb_init`).
+fit of the data (:func:`greedy_comb_init`).  :func:`select_spins` is its
+counterpart: it turns a fitted posterior into a spin count and clusters.
 """
 
 from __future__ import annotations
@@ -70,10 +71,7 @@ _PAIRS = ("a list of [A_z, A_perp] number pairs", lambda v: all(map(_is_pair, v)
 _SHARED = {
     "model": {"kind": str, "m_points": int, "repetitions": int, "truth_seed": int},
     "ansatz": {"family": str, "n_layers": int, "hidden_width": int},
-    "train": {
-        "batch": int, "steps": int, "lr_start": float, "lr_end": float,
-        "beta1": float, "beta2": float, "eps": float, "seed": int,
-    },
+    "train": {"batch": int, "steps": int, "lr_start": float, "lr_end": float, "seed": int},
     "regularizer": {"kind": str, "sigma": float, "trainable": bool},
     "plot": {"draws": int},
 }
@@ -160,6 +158,10 @@ def load_config(path) -> dict:
                 raise ConfigError(f"model.{key} has no effect beside model.{explicit}")
     if model_setting(config, "repetitions") < 1:
         raise ConfigError("model.repetitions must be >= 1")
+    if selection_settings(config)["draws"] < 1:
+        raise ConfigError("selection.draws must be >= 1")
+    if config.get("plot", {}).get("draws", 0) < 0:
+        raise ConfigError("plot.draws must be >= 0")
     return config
 
 
@@ -413,6 +415,32 @@ def fit_dataset(config: dict, records, seed: int):
                                model_setting(config, "n_pi"))
         return trainer.train_from(tcfg, records, model, init)
     return trainer.train(tcfg, records, model, spec)
+
+
+def select_spins(config: dict, params: flows.FlowParameters, seed: int, truth=None):
+    """Pick the spin count and couplings a fitted posterior supports, as ``vbi select``.
+
+    Draws ``selection.draws`` samples from ``RngStream(seed)``, thresholds
+    them to a class each, and clusters the spins of the MAP class with
+    ``selection.cluster_seed``.  Given the (K, 2) (A_z, A_perp) ``truth``, the
+    clusters are scored against (A_z, |A_perp|) with ``selection.mahalanobis_t``.
+    Returns (PosteriorSampleSet, clusters, MetricsReport, HyperfineErrors);
+    the last two are None without a truth, and the errors also when no spin
+    was matched.
+    """
+    sc = selection_settings(config)
+    theta, _, _ = flows.sample_batch(params, sc["draws"], RngStream(seed))
+    sample_set = selection.build_sample_set(theta, sc["aperp_threshold_mhz"], sc["az_max_mhz"])
+    n = sample_set.map_class
+    clusters = []
+    if n > 0:
+        clusters = selection.cluster_spins(sample_set.class_points(n), n, seed=sc["cluster_seed"])
+    metrics = errors = None
+    if truth is not None:
+        truth = np.column_stack([truth[:, 0], np.abs(truth[:, 1])])
+        metrics = selection.ml_metrics(clusters, truth, sc["mahalanobis_t"])
+        errors = selection.hyperfine_errors(clusters, truth, sc["mahalanobis_t"])
+    return sample_set, clusters, metrics, errors
 
 
 # keys of a toy config that bench_pf_rows never reads: it draws each truth and

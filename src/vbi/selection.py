@@ -1,9 +1,10 @@
 """Post-training model selection and reporting.
 
-Posterior draws are thresholded and pruned to a spin count (the model class),
-classes get pseudo-Bayesian probabilities from their sample fractions, the
-per-class samples are marginalized to 2D (A_z, A_perp) points and clustered,
-and clusters are scored against a ground truth with Mahalanobis gating.
+Posterior draws are thresholded, all in one pass, and pruned to a spin count
+(the model class), classes get pseudo-Bayesian probabilities from their sample
+fractions, the kept spins of a class are marginalized to 2D (A_z, |A_perp|)
+points and clustered, and clusters are scored against a ground truth with
+Mahalanobis gating.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
 from .probcore import RngStream
 
 DEFAULT_APERP_THRESHOLD = 0.05   # angular MHz (50 kHz)
@@ -24,48 +24,42 @@ DEFAULT_MAHALANOBIS_T = 4.0
 DEFAULT_DRAWS = 4096
 
 
-def threshold_and_prune(theta, aperp_threshold: float, az_max: float = DEFAULT_AZ_MAX):
-    """Drop spins with |A_perp| below threshold (or A_z >= az_max).
-
-    ``theta`` is the interleaved (A_z, A_perp) vector of one posterior draw.
-    Returns (class n, (n, 2) array of kept spins with A_perp as |A_perp|).
-    Idempotent: pruning a pruned draw changes nothing.
-    """
-    theta = np.asarray(theta, dtype=float)
-    az = theta[0::2]
-    ap = np.abs(theta[1::2])
-    keep = (ap >= aperp_threshold) & (az < az_max)
-    spins = np.column_stack([az[keep], ap[keep]])
-    return int(keep.sum()), spins
-
-
 @dataclass
 class PosteriorSampleSet:
-    """Z thresholded draws partitioned into class sets with probabilities."""
+    """Z thresholded draws: the spins each keeps, its class and the class probabilities.
+
+    A draw keeps the spins with |A_perp| >= ``aperp_threshold`` and A_z below
+    the ``az_max`` of :func:`build_sample_set`; its class is the number it keeps.
+    """
 
     z: int
-    raw: np.ndarray                      # (Z, 2K) unpruned draws
-    class_sets: dict                     # n -> list of (n, 2) spin arrays
+    spins: np.ndarray                    # (Z, K, 2) (A_z, |A_perp|) of every spin of every draw
+    keep: np.ndarray                     # (Z, K) spins that survive the threshold
+    classes: np.ndarray                  # (Z,) class of each draw
     probabilities: dict                  # n -> |S_n| / Z
     map_class: int
     aperp_threshold: float
-    az_max: float
+
+    def class_points(self, n: int) -> np.ndarray:
+        """(A_z, |A_perp|) of the kept spins of the class-n draws, in draw then spin order.
+
+        Marginalizing over spins this way breaks the inter-spin correlations:
+        n * |S_n| points, the k-means input of the class.
+        """
+        return self.spins[self.keep & (self.classes == n)[:, None]]
 
 
 def build_sample_set(raw_draws, aperp_threshold: float,
                      az_max: float = DEFAULT_AZ_MAX) -> PosteriorSampleSet:
+    """Threshold (Z, 2K) interleaved (A_z, A_perp) draws in one pass over all of them."""
     raw = np.atleast_2d(np.asarray(raw_draws, dtype=float))
-    z = raw.shape[0]
-    classes = np.empty(z, dtype=int)
-    class_sets: dict = {}
-    for i in range(z):
-        n, spins = threshold_and_prune(raw[i], aperp_threshold, az_max)
-        classes[i] = n
-        class_sets.setdefault(n, []).append(spins)
+    spins = np.stack([raw[:, 0::2], np.abs(raw[:, 1::2])], axis=-1)
+    keep = (spins[:, :, 1] >= aperp_threshold) & (spins[:, :, 0] < az_max)
+    classes = keep.sum(axis=1)
     probs = class_probabilities(classes)
-    return PosteriorSampleSet(z=z, raw=raw, class_sets=class_sets,
+    return PosteriorSampleSet(z=raw.shape[0], spins=spins, keep=keep, classes=classes,
                               probabilities=probs, map_class=map_class(probs),
-                              aperp_threshold=aperp_threshold, az_max=az_max)
+                              aperp_threshold=aperp_threshold)
 
 
 def class_probabilities(classes) -> dict:
@@ -81,16 +75,6 @@ def map_class(probabilities: dict) -> int:
     """argmax p_c; ties resolved toward the smaller class."""
     best = max(probabilities.values())
     return min(c for c, p in probabilities.items() if p == best)
-
-
-def marginalize_spins(samples) -> np.ndarray:
-    """Break inter-spin correlations: n-spin samples -> n * |S_n| 2D points."""
-    if not samples:
-        raise ContractViolation("empty class set")
-    n = len(samples[0])
-    if any(len(s) != n for s in samples):
-        raise ContractViolation("mixed classes in marginalize_spins input")
-    return np.concatenate([np.asarray(s, dtype=float).reshape(n, 2) for s in samples])
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +320,6 @@ def write_samples_csv(path, sample_set: PosteriorSampleSet) -> None:
     """One row per pruned draw: n followed by its 2n coupling values."""
     with open(path, "w") as fh:
         fh.write("n,couplings\n")
-        for i in range(sample_set.z):
-            n, spins = threshold_and_prune(sample_set.raw[i], sample_set.aperp_threshold,
-                                           sample_set.az_max)
-            flat = ",".join(repr(float(v)) for v in spins.ravel())
+        for n, spins, keep in zip(sample_set.classes, sample_set.spins, sample_set.keep):
+            flat = ",".join(repr(float(v)) for v in spins[keep].ravel())
             fh.write(f"{n}" + (f",{flat}" if flat else "") + "\n")

@@ -222,9 +222,6 @@ class TrainConfig:
     steps: int = 2048
     lr_start: float = 1e-3
     lr_end: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     prior: PriorSpec = field(default_factory=PriorSpec)
     regularizer: RegularizerSpec = field(default_factory=RegularizerSpec)
@@ -326,6 +323,11 @@ SCHEDULE_FRACTION = 0.5
 # the budget grows about fivefold and the final step size is unchanged.
 SOFTPLUS_STEP_SCALE = 10.0
 
+# ADAM's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # A location steps at most LOCATION_REACH times its current q spread: with lr
 # far above the posterior width, ADAM's oscillation around a sharp mode grows
 # until the mean leaves it for a neighbouring mode.
@@ -389,12 +391,12 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
             grad[n_flow:] = est.grad_phi * _logistic(x[n_flow:])
 
         lr = config.learning_rate(i)
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        mhat = m / (1.0 - config.beta1 ** i)
-        vhat = v / (1.0 - config.beta2 ** i)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        mhat = m / (1.0 - ADAM_BETA1 ** i)
+        vhat = v / (1.0 - ADAM_BETA2 ** i)
         boost = SOFTPLUS_STEP_SCALE ** (1.0 - (i - 1) / max(config.steps - 1, 1))
-        step = lr * np.where(softplus_stored, boost, 1.0) * mhat / (np.sqrt(vhat) + config.eps)
+        step = lr * np.where(softplus_stored, boost, 1.0) * mhat / (np.sqrt(vhat) + ADAM_EPS)
         reach = LOCATION_REACH * np.sqrt((params.l_matrix() ** 2).sum(axis=1))
         step[:d] = np.clip(step[:d], -reach, reach)
         x = x + step  # ascent on the ELBO

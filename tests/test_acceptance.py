@@ -241,12 +241,9 @@ def spin_identification_runs():
         t0 = time.perf_counter()
         params, phi, trace = pipeline.fit_dataset(config, records, seed)
         fit_seconds = time.perf_counter() - t0
-        theta, _, _ = flows.sample_batch(params, 4096, RngStream(seed + 12000))
-        sample_set = selection.build_sample_set(theta, aperp_threshold=0.05)
         truth_2d = np.column_stack([truth[0::2], truth[1::2]])
-        points = selection.marginalize_spins(sample_set.class_sets[sample_set.map_class])
-        clusters = selection.cluster_spins(points, sample_set.map_class, seed=0)
-        metrics = selection.ml_metrics(clusters, truth_2d, t=4.0)
+        sample_set, clusters, metrics, _ = pipeline.select_spins(config, params, seed + 12000,
+                                                                 truth_2d)
         matches = selection._match_spins(clusters, truth_2d, 4.0)
         runs.append(dict(seed=seed, truth=truth_2d, records=records, params=params,
                          phi=phi, trace=trace, fit_seconds=fit_seconds,

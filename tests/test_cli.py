@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import vbi
-from vbi import cli, flows
-from vbi.simulator import read_dataset_csv
+from vbi import cli, flows, pipeline, selection
+from vbi.simulator import read_dataset_csv, read_truth_json
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -150,8 +150,11 @@ def test_wrong_type_rejected(tmp_path, capsys):
     ("toy", "bench", "n_list", ["x"]),
     ("toy", "bench", "seeds", [0.5]),
     ("dd", "model", "repetitions", 0),
+    ("dd", "selection", "draws", 0),
+    ("dd", "plot", "draws", -1),
 ], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
-        "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "repetitions"])
+        "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "repetitions",
+        "selection.draws", "plot.draws"])
 def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
     config.setdefault(section, {})[key] = value
@@ -350,6 +353,19 @@ def test_select_determinism(fitted_run, tmp_path):
     assert (out_a / "selection.json").read_bytes() == (out_b / "selection.json").read_bytes()
 
 
+def test_select_writes_the_select_spins_report(fitted_run, tmp_path):
+    path, out = fitted_run
+    code = cli.main(["select", "--config", path, "--checkpoint", str(out / "checkpoint.json"),
+                     "--ground-truth", str(out / "ground_truth.json"), "--seed", "4",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    params, _ = flows.load_checkpoint(out / "checkpoint.json")
+    truth, _, _ = read_truth_json(out / "ground_truth.json")
+    found = pipeline.select_spins(pipeline.load_config(path), params, 4, truth)
+    selection.write_report(tmp_path / "library.json", selection.selection_report(*found))
+    assert (tmp_path / "selection.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+
+
 def test_select_rejects_bad_draws(fitted_run, tmp_path):
     path, out = fitted_run
     bad_cfg = dd_config()
@@ -380,7 +396,7 @@ def test_plotdata_degenerate_matches_model_curve(tmp_path):
     path = write_config(tmp_path, config)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
-    from vbi.simulator import omega_larmor, read_truth_json
+    from vbi.simulator import omega_larmor
     from vbi.likelihoods import DDModel, NuisanceParams
 
     spins, t2_inv, b = read_truth_json(out / "ground_truth.json")

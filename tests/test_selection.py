@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbi import selection
-from vbi.errors import ContractViolation
 from vbi.probcore import RngStream
 
 
@@ -22,34 +21,33 @@ def interleave(az, ap):
 
 def test_threshold_basic_masking():
     theta = interleave([0.1, 0.2, -0.1], [0.2, 0.01, 0.07])
-    n, spins = selection.threshold_and_prune(theta, 0.05)
-    assert n == 2
-    assert np.allclose(spins, [[0.1, 0.2], [-0.1, 0.07]])
+    ss = selection.build_sample_set(theta, 0.05)
+    assert ss.classes.tolist() == [2]
+    assert np.allclose(ss.class_points(2), [[0.1, 0.2], [-0.1, 0.07]])
 
 
 def test_threshold_all_below_gives_class_zero():
     theta = interleave([0.1, 0.2], [0.01, 0.02])
-    n, spins = selection.threshold_and_prune(theta, 0.05)
-    assert n == 0 and spins.shape == (0, 2)
+    ss = selection.build_sample_set(theta, 0.05)
+    assert ss.map_class == 0 and ss.class_points(0).shape == (0, 2)
 
 
 def test_threshold_zero_keeps_everything():
     theta = interleave([0.1, 0.2, 0.3], [0.2, 0.01, 0.07])
-    n, _ = selection.threshold_and_prune(theta, 0.0)
-    assert n == 3
+    assert selection.build_sample_set(theta, 0.0).classes.tolist() == [3]
 
 
 def test_threshold_reports_absolute_aperp():
     theta = interleave([0.1], [-0.3])
-    _, spins = selection.threshold_and_prune(theta, 0.05)
-    assert spins[0, 1] == pytest.approx(0.3)
+    ss = selection.build_sample_set(theta, 0.05)
+    assert ss.class_points(1)[0, 1] == pytest.approx(0.3)
 
 
 def test_threshold_excludes_large_az():
     theta = interleave([0.7, 0.1], [0.3, 0.3])
-    n, spins = selection.threshold_and_prune(theta, 0.05)
-    assert n == 1
-    assert spins[0, 0] == pytest.approx(0.1)
+    ss = selection.build_sample_set(theta, 0.05)
+    assert ss.classes.tolist() == [1]
+    assert ss.class_points(1)[0, 0] == pytest.approx(0.1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -57,10 +55,11 @@ def test_threshold_excludes_large_az():
 def test_threshold_idempotent(k, threshold):
     rng = np.random.default_rng(k * 1000 + int(threshold * 100))
     theta = rng.uniform(-0.5, 0.5, 2 * k)
-    n, spins = selection.threshold_and_prune(theta, threshold)
-    n2, spins2 = selection.threshold_and_prune(spins.ravel(), threshold)
-    assert n2 == n
-    assert np.array_equal(spins2, spins)
+    ss = selection.build_sample_set(theta, threshold)
+    n = int(ss.classes[0])
+    again = selection.build_sample_set(ss.class_points(n).ravel(), threshold)
+    assert again.classes.tolist() == [n]
+    assert np.array_equal(again.class_points(n), ss.class_points(n))
 
 
 def test_class_probabilities_counting():
@@ -89,28 +88,36 @@ def test_probabilities_sum_to_one_exactly():
 
 
 def test_marginalize_counts():
-    samples = [np.full((3, 2), i, dtype=float) for i in range(10)]
-    points = selection.marginalize_spins(samples)
+    draws = np.array([interleave([0.1, 0.2, 0.3], [0.1 + 0.01 * i] * 3) for i in range(10)])
+    points = selection.build_sample_set(draws, 0.05).class_points(3)
     assert points.shape == (30, 2)
 
 
 def test_marginalize_single_spin_class():
-    samples = [np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]])]
-    points = selection.marginalize_spins(samples)
+    draws = [interleave([0.1], [0.2]), interleave([0.3], [0.4])]
+    points = selection.build_sample_set(draws, 0.05).class_points(1)
     assert np.allclose(points, [[0.1, 0.2], [0.3, 0.4]])
 
 
 def test_marginalize_permutation_invariant_multiset():
-    a = [np.array([[0.1, 0.2], [0.3, 0.4]])]
-    b = [np.array([[0.3, 0.4], [0.1, 0.2]])]
-    pa = selection.marginalize_spins(a)
-    pb = selection.marginalize_spins(b)
+    pa = selection.build_sample_set(interleave([0.1, 0.3], [0.2, 0.4]), 0.05).class_points(2)
+    pb = selection.build_sample_set(interleave([0.3, 0.1], [0.4, 0.2]), 0.05).class_points(2)
     assert np.array_equal(np.sort(pa, axis=0), np.sort(pb, axis=0))
 
 
-def test_marginalize_rejects_mixed_classes():
-    with pytest.raises(ContractViolation):
-        selection.marginalize_spins([np.zeros((2, 2)), np.zeros((3, 2))])
+def test_class_points_are_kept_pairs_in_draw_then_spin_order():
+    rng = RngStream(10)
+    draws = np.array([interleave(rng.uniform(-0.3, 0.7, 6), rng.uniform(-0.2, 0.2, 6))
+                      for _ in range(300)])
+    ss = selection.build_sample_set(draws, 0.05, az_max=0.5)
+    assert len(ss.probabilities) > 3
+    expected = {}
+    for theta in draws:
+        kept = [(az, abs(ap)) for az, ap in theta.reshape(-1, 2) if abs(ap) >= 0.05 and az < 0.5]
+        expected.setdefault(len(kept), []).extend(kept)
+    assert sorted(expected) == sorted(ss.probabilities)
+    for n, pairs in expected.items():
+        assert np.array_equal(ss.class_points(n), np.array(pairs).reshape(-1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -253,16 +260,17 @@ def test_build_sample_set_partition():
     ss = selection.build_sample_set(draws, 0.05)
     assert ss.z == 100
     assert sum(ss.probabilities.values()) == pytest.approx(1.0, abs=1e-15)
-    assert all(len(v) == round(ss.probabilities[c] * 100) for c, v in ss.class_sets.items())
-    assert ss.map_class in ss.class_sets
+    for c, p in ss.probabilities.items():
+        assert np.count_nonzero(ss.classes == c) == round(p * 100)
+        assert ss.class_points(c).shape == (c * round(p * 100), 2)
+    assert ss.map_class in ss.probabilities
 
 
 def test_selection_report_and_samples_csv(tmp_path):
     rng = RngStream(9)
     draws = np.column_stack([rng.uniform(-0.2, 0.2, 50), rng.uniform(0.2, 0.4, 50)])
     ss = selection.build_sample_set(draws, 0.05)
-    points = selection.marginalize_spins(ss.class_sets[1])
-    clusters = selection.cluster_spins(points, 1)
+    clusters = selection.cluster_spins(ss.class_points(1), 1)
     metrics = selection.ml_metrics(clusters, [[0.0, 0.3]], t=4.0)
     report = selection.selection_report(ss, clusters, metrics)
     path = tmp_path / "report.json"
