@@ -9,12 +9,12 @@ not. (Full-scale bands run in tests/test_acceptance.py, criterion 4.)
 
 from vbi.pipeline import bench_pf_rows
 
-N_LIST = (2, 4, 8)
 config = {"model": {"kind": "toy", "m_points": 256, "repetitions": 1024,
                     "log_tau_range": [-1.0, 3.5]},
-          "bench": {"n_particles": 4096, "trials": 5000, "steps": 1200}}
-errors = {(n, method): error for n, method, _, error in bench_pf_rows(config, N_LIST, [0])}
+          "train": {"steps": 1200},
+          "bench": {"n_list": [2, 4, 8], "seeds": [0], "n_particles": 4096, "trials": 5000}}
+errors = {(n, method): error for n, method, _, error in bench_pf_rows(config)}
 print(f"{'n':>3} {'baseline':>10} {'PF':>10} {'VBI':>10}")
-for n in N_LIST:
+for n in config["bench"]["n_list"]:
     print(f"{n:>3} {errors[n, 'baseline']:>10.5f} {errors[n, 'PF']:>10.5f} "
           f"{errors[n, 'VBI']:>10.5f}")

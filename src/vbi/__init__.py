@@ -20,18 +20,7 @@ Public surface by module:
   initialization, PF-vs-VBI benchmark rows.
 * :mod:`vbi.cli`         -- ``vbi simulate|fit|select|bench-pf|plotdata``, a
   shell over :mod:`vbi.pipeline`.
-
-``VBI_THREADS=n`` caps the BLAS thread pool: importing the package sets
-``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to n unless they are already
-set.  The pool is sized when numpy loads, so this works only when ``vbi`` is
-imported before numpy, as the ``vbi`` command does.
 """
-
-import os as _os
-
-if _os.environ.get("VBI_THREADS"):
-    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        _os.environ.setdefault(_name, _os.environ["VBI_THREADS"])
 
 from .flows import AnsatzSpec, FlowParameters, ansatz_log_density
 from .likelihoods import (DDModel, MeasurementRecord, NuisanceParams, ToyModel,

@@ -127,10 +127,7 @@ def cmd_bench_pf(args) -> int:
     if config["model"]["kind"] != MODEL_TOY:
         raise ConfigError("bench-pf runs on the toy model only")
     out = _out_dir(args)
-    bc = config.get("bench", {})
-    n_list = bc.get("n_list", [2, 4, 8, 12])
-    seeds = bc.get("seeds", [0])
-    rows = pipeline.bench_pf_rows(config, n_list, seeds)
+    rows = pipeline.bench_pf_rows(config)
     path = out / "bench.csv"
     with open(path, "w") as fh:
         fh.write("n,method,seed,error\n")

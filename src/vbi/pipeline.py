@@ -92,9 +92,7 @@ _OWN = {
     },
     MODEL_TOY: {
         "model": {"n_frequencies": int, "log_tau_range": _RANGE, "truth_frequencies": _NUMBERS},
-        "bench": {"n_list": _INTS, "seeds": _INTS, "n_particles": int,
-                  "batch": int, "steps": int, "lr_start": float, "lr_end": float,
-                  "trials": int},
+        "bench": {"n_list": _INTS, "seeds": _INTS, "n_particles": int, "trials": int},
     },
 }
 # the schema of each model kind: the shared sections and keys plus its own
@@ -156,10 +154,17 @@ def load_config(path) -> dict:
         for key in generated:
             if explicit in model and key in model:
                 raise ConfigError(f"model.{key} has no effect beside model.{explicit}")
+    ansatz = config.get("ansatz", {})
+    for key in ("n_layers", "hidden_width"):
+        if key in ansatz and ansatz.get("family") != flows.STACKED:
+            raise ConfigError(f"ansatz.{key} has no effect unless ansatz.family is "
+                              f"{flows.STACKED!r}")
     if model_setting(config, "repetitions") < 1:
         raise ConfigError("model.repetitions must be >= 1")
     if selection_settings(config)["draws"] < 1:
         raise ConfigError("selection.draws must be >= 1")
+    if any(n < 1 for n in config.get("bench", {}).get("n_list", [])):
+        raise ConfigError("bench.n_list entries must be >= 1")
     if config.get("plot", {}).get("draws", 0) < 0:
         raise ConfigError("plot.draws must be >= 0")
     return config
@@ -237,7 +242,7 @@ def _train_config(config: dict, seed: int, kind: str) -> trainer.TrainConfig:
     else:
         tc = {"lr_start": 1e-2, "lr_end": 1e-3, **tc}
     return trainer.TrainConfig(
-        **{"seed": seed, **tc}, prior=build_prior(config),
+        **{**tc, "seed": seed}, prior=build_prior(config),
         regularizer=trainer.RegularizerSpec(**rc),
         phi0=NuisanceParams(t2_inv=model_setting(config, "T2_inv"),
                             chi=1.0 / model_setting(config, "repetitions"),
@@ -443,45 +448,43 @@ def select_spins(config: dict, params: flows.FlowParameters, seed: int, truth=No
     return sample_set, clusters, metrics, errors
 
 
-# keys of a toy config that bench_pf_rows never reads: it draws each truth and
-# builds each fit's settings itself
+# keys of a toy config that bench_pf_rows cannot honour: it draws one truth per
+# n and takes its seeds from bench.seeds
 _BENCH_PF_UNREAD = ("model.truth_seed", "model.n_frequencies", "model.truth_frequencies",
-                    "ansatz", "train", "regularizer", "plot")
+                    "train.seed", "plot")
 
 
-def bench_pf_rows(config: dict, n_list, seeds):
+def bench_pf_rows(config: dict):
     """(n, method, seed, error) rows for methods PF, VBI, and baseline.
 
-    Only ``model.m_points``, ``repetitions``, ``log_tau_range`` and the
-    ``bench`` section are read; a config that sets a key of
-    ``_BENCH_PF_UNREAD`` is a :class:`ConfigError`.
+    For each n of ``bench.n_list`` (default 2, 4, 8, 12) and each seed of
+    ``bench.seeds`` (default 0) the run config is ``config`` with n drawn
+    frequencies as its truth: ``vbi simulate`` and ``vbi fit`` on it give the
+    dataset and the VBI estimate, so the ``train``, ``ansatz`` and
+    ``regularizer`` sections take effect as in any toy fit.  A config that
+    sets a key of ``_BENCH_PF_UNREAD`` is a :class:`ConfigError`.
     """
     for path in _BENCH_PF_UNREAD:
         section, _, key = path.partition(".")
         if section in config and (not key or key in config[section]):
             raise ConfigError(f"{path} has no effect on bench-pf, which draws its own "
-                              "truths and fit settings")
+                              "truths and takes its seeds from bench.seeds")
     bc = config.get("bench", {})
-    train = {"steps": 2000,
-             **{key: bc[key] for key in ("batch", "steps", "lr_start", "lr_end") if key in bc}}
     rows = []
-    for n in n_list:
-        base_rng = RngStream(90000 + n)
-        baseline = smc.prior_mode_baseline_error(n, bc.get("trials", 10000), base_rng)
-        for seed in seeds:
+    for n in bc.get("n_list", [2, 4, 8, 12]):
+        baseline = smc.prior_mode_baseline_error(n, bc.get("trials", 10000),
+                                                 RngStream(90000 + n))
+        for seed in bc.get("seeds", [0]):
             truth = RngStream(50000 + 1000 * n + seed).uniform(0.0, 1.0, n)
-            truth_cfg = {"model": {**config["model"], "truth_frequencies": truth.tolist()}}
-            records = simulator.simulate_dataset(scenario(truth_cfg, seed))
-            model = ToyModel(n=n)
+            run_cfg = {**config, "model": {**config["model"], "n_frequencies": n,
+                                           "truth_frequencies": truth.tolist()}}
+            records = simulator.simulate_dataset(scenario(run_cfg, seed))
 
             ens = smc.pf_init(np.zeros(n), np.ones(n), bc.get("n_particles", 16384),
                               RngStream(seed + 7))
-            ens = smc.pf_run(ens, records, model)
+            ens = smc.pf_run(ens, records, build_model(run_cfg))
             rows.append((n, "PF", seed, smc.sorted_square_error(smc.pf_estimate(ens), truth)))
 
-            run_cfg = {"model": {"kind": MODEL_TOY, "n_frequencies": n},
-                       "train": {**train, "seed": seed},
-                       "ansatz": {"family": "mean-field"}}
             params, _, _ = fit_dataset(run_cfg, records, seed)
             draws, _, _ = flows.sample_batch(params, 2048, RngStream(seed + 13))
             estimate = build_prior(run_cfg).transform(draws).mean(axis=0)

@@ -226,8 +226,6 @@ class TrainConfig:
     prior: PriorSpec = field(default_factory=PriorSpec)
     regularizer: RegularizerSpec = field(default_factory=RegularizerSpec)
     phi0: NuisanceParams = field(default_factory=NuisanceParams)
-    # abort when the smoothed ELBO falls this far below its best so far
-    divergence_drop: float = 1e6
 
     def __post_init__(self):
         if self.batch < 1 or self.steps < 1:
@@ -293,7 +291,7 @@ def train(config: TrainConfig, dataset, model, ansatz_spec: flows.AnsatzSpec):
 
     Returns (FlowParameters, NuisanceParams, TrainTrace).  Raises
     :class:`TrainingDiverged` if the smoothed ELBO (mean of the last
-    ``DIVERGENCE_WINDOW`` steps) falls more than ``config.divergence_drop``
+    ``DIVERGENCE_WINDOW`` steps) falls more than ``DIVERGENCE_DROP``
     below the best smoothed ELBO reached so far.
     """
     rng = RngStream(config.seed)
@@ -333,7 +331,10 @@ ADAM_EPS = 1e-8
 # until the mean leaves it for a neighbouring mode.
 LOCATION_REACH = 0.25
 
+# abort when the smoothed ELBO (mean of the last DIVERGENCE_WINDOW steps)
+# falls DIVERGENCE_DROP below its best so far
 DIVERGENCE_WINDOW = 10
+DIVERGENCE_DROP = 1e6
 
 
 def _record_schedule(dataset, steps: int):
@@ -408,7 +409,7 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
         if i >= DIVERGENCE_WINDOW:
             smoothed = float(trace.elbo[i - DIVERGENCE_WINDOW:i].mean())
             best_smoothed = max(best_smoothed, smoothed)
-            if smoothed < best_smoothed - config.divergence_drop:
+            if smoothed < best_smoothed - DIVERGENCE_DROP:
                 trace.elbo = trace.elbo[:i]
                 trace.lr = trace.lr[:i]
                 trace.phi = trace.phi[:i]

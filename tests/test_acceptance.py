@@ -168,11 +168,12 @@ def bench_rows():
     config = {
         "model": {"kind": "toy", "m_points": 512, "repetitions": 1024,
                   "log_tau_range": [-1.0, 4.0]},
+        "train": {"batch": 64, "steps": 2000},
         "bench": {"n_list": [2, 4, 8, 12], "seeds": [0], "n_particles": 16384,
-                  "batch": 64, "steps": 2000, "trials": 10000},
+                  "trials": 10000},
     }
     t0 = time.perf_counter()
-    rows = pipeline.bench_pf_rows(config, [2, 4, 8, 12], [0])
+    rows = pipeline.bench_pf_rows(config)
     return rows, time.perf_counter() - t0
 
 

@@ -43,8 +43,8 @@ def bench_config():
     return {
         "model": {"kind": "toy", "m_points": 24, "repetitions": 64,
                   "log_tau_range": [-1.0, 1.5]},
-        "bench": {"n_list": [2], "seeds": [0], "n_particles": 256,
-                  "steps": 60, "batch": 16, "trials": 2000},
+        "train": {"steps": 60, "batch": 16},
+        "bench": {"n_list": [2], "seeds": [0], "n_particles": 256, "trials": 2000},
     }
 
 
@@ -67,8 +67,7 @@ DD_ONLY = {
 }
 TOY_ONLY = {
     "model": {"n_frequencies": 2, "log_tau_range": [-1.0, 2.0], "truth_frequencies": [0.5]},
-    "bench": {"n_list": [2], "seeds": [0], "n_particles": 256, "batch": 16, "steps": 60,
-              "lr_start": 1e-2, "lr_end": 1e-3, "trials": 100},
+    "bench": {"n_list": [2], "seeds": [0], "n_particles": 256, "trials": 100},
 }
 WRONG_KIND = [(kind, section, key, value)
               for kind, own in (("toy", DD_ONLY), ("dd", TOY_ONLY))
@@ -86,7 +85,10 @@ WRONG_KIND = [(kind, section, key, value)
      "train.init_spread"),
     ({"model": {"kind": "toy"}, "selection": {}}, "selection"),
     ({"model": {"kind": "toy"}, "selection": {"banana": 1}}, "selection.banana"),
-], ids=["model.banana", "train.init_spread", "toy-empty-selection", "toy-selection.banana"])
+    *[({"model": {"kind": "toy"}, "bench": {key: value}}, f"bench.{key}")
+      for key, value in (("batch", 16), ("steps", 60), ("lr_start", 1e-2), ("lr_end", 1e-3))],
+], ids=["model.banana", "train.init_spread", "toy-empty-selection", "toy-selection.banana",
+        "bench.batch", "bench.steps", "bench.lr_start", "bench.lr_end"])
 def test_unknown_key_rejected(tmp_path, capsys, config, key):
     path = write_config(tmp_path, config)
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
@@ -149,11 +151,15 @@ def test_wrong_type_rejected(tmp_path, capsys):
     ("toy", "model", "truth_frequencies", ["x"]),
     ("toy", "bench", "n_list", ["x"]),
     ("toy", "bench", "seeds", [0.5]),
+    ("toy", "bench", "n_list", [2, 0]),
+    ("toy", "ansatz", "n_layers", 9),
+    ("dd", "ansatz", "hidden_width", 3),
     ("dd", "model", "repetitions", 0),
     ("dd", "selection", "draws", 0),
     ("dd", "plot", "draws", -1),
 ], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
-        "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "repetitions",
+        "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "n_list-below-1",
+        "ansatz.n_layers", "ansatz.hidden_width", "repetitions",
         "selection.draws", "plot.draws"])
 def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
@@ -318,6 +324,23 @@ def toy_run(tmp_path_factory):
     return out
 
 
+def test_fit_seed_flag_overrides_train_seed(tmp_path, toy_run):
+    # --seed 5 on a config with train.seed 2 trains as train.seed 5 would
+    config = toy_config()
+    flagged = write_config(tmp_path, config, name="flagged.json")
+    config["train"]["seed"] = 5
+    seeded = write_config(tmp_path, config, name="seeded.json")
+    dataset = str(toy_run / "dataset.csv")
+    assert cli.main(["fit", "--config", flagged, "--dataset", dataset, "--seed", "5",
+                     "--out", str(tmp_path / "flag")]) == 0
+    assert cli.main(["fit", "--config", seeded, "--dataset", dataset,
+                     "--out", str(tmp_path / "config")]) == 0
+    trace = (tmp_path / "flag" / "trace.csv").read_bytes()
+    assert trace == (tmp_path / "config" / "trace.csv").read_bytes()
+    assert trace != (toy_run / "trace.csv").read_bytes()
+    assert flows.load_checkpoint(tmp_path / "flag" / "checkpoint.json")[1]["seed"] == 5
+
+
 @pytest.mark.parametrize("command", ["select", "plotdata"])
 def test_dd_command_rejects_toy_checkpoint(tmp_path, capsys, toy_run, command):
     path = write_config(tmp_path, dd_config())
@@ -447,8 +470,7 @@ def test_bench_pf_has_no_seed_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("path, value", [
     ("model.truth_seed", 3), ("model.n_frequencies", 2), ("model.truth_frequencies", [0.5]),
-    ("ansatz", {"family": "mean-field"}), ("train", {"steps": 10}),
-    ("regularizer", {"kind": "l2", "sigma": 1e-3}), ("plot", {"draws": 8}),
+    ("train.seed", 3), ("plot", {"draws": 8}),
 ])
 def test_bench_pf_rejects_keys_it_does_not_read(tmp_path, capsys, path, value):
     config = bench_config()
@@ -474,23 +496,20 @@ def test_bench_pf_rows(tmp_path):
     assert methods == {"PF", "VBI", "baseline"}
 
 
-# --------------------------------------------------------------------------
-# environment
-# --------------------------------------------------------------------------
+def test_bench_pf_fits_with_the_train_section():
+    config = bench_config()
+    rows = pipeline.bench_pf_rows(config)
+    config["train"]["steps"] = 61
+    longer = pipeline.bench_pf_rows(config)
+    by_method = [{row[1]: row for row in found} for found in (rows, longer)]
+    assert by_method[0]["VBI"] != by_method[1]["VBI"]
+    for method in ("PF", "baseline"):
+        assert by_method[0][method] == by_method[1][method]
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
-def test_vbi_threads_caps_blas_pool():
-    env = {k: v for k, v in subprocess_env().items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["VBI_THREADS"] = "1"
-    script = ("import os, vbi, numpy as np\n"
-              "a = np.ones((256, 256))\n"
-              "a @ a\n"
-              "print(len(os.listdir('/proc/self/task')))\n")
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "1"
+# --------------------------------------------------------------------------
+# module entry point
+# --------------------------------------------------------------------------
 
 
 def test_python_m_vbi_cli_runs_a_command(tmp_path):

@@ -250,10 +250,11 @@ def test_dd_smoke_fit_residuals_within_noise():
     assert np.median(trace.elbo[n // 2:]) > np.median(trace.elbo[: max(n // 10, 1)])
 
 
-def test_training_divergence_detector():
+def test_training_divergence_detector(monkeypatch):
+    monkeypatch.setattr(trainer, "DIVERGENCE_DROP", 1e-9)
     config, records, model, spec = conjugate_setup(steps=300)
     bad = TrainConfig(batch=4, steps=300, lr_start=2e-2, lr_end=1e-3, seed=3,
-                      prior=config.prior, divergence_drop=1e-9)
+                      prior=config.prior)
     with pytest.raises(TrainingDiverged) as err:
         train(bad, records, model, spec)
     assert err.value.trace is not None
