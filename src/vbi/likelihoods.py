@@ -18,7 +18,11 @@ Every cosine and sine over a full-size array comes from one ``tan`` pass
 (:func:`_half_angle`): float64 ``np.tan`` is vectorised where ``np.cos`` and
 ``np.sin`` may not be (about 2 against 20-30 ns per element with numpy 2.4 on
 an AVX-512 Xeon).  The batched kernels run in blocks of about
-``_BLOCK_ELEMS`` elements over one reused workspace (:func:`_row_blocks`).
+``_BLOCK_ELEMS`` elements over one reused workspace (:func:`_row_blocks`),
+with the records on the last, contiguous axis: the toy blocks are laid out
+(rows, frequencies, records) and the DD blocks (rows, spins, records), so
+every full-size pass runs an inner loop over the M records, not a short one
+over the few frequencies or spins.
 """
 
 from __future__ import annotations
@@ -116,14 +120,15 @@ def _half_angle(t, s, c):
 # ---------------------------------------------------------------------------
 
 
-def _toy_prob(half, work):
+def _toy_prob(half, work, axis=-1):
     """p = 1/2 + (1/2n) sum_i cos(omega_i tau) and the sines sin(omega_i tau).
 
-    ``half`` holds the half phases omega_i tau / 2 along its last axis and
-    becomes the sines; ``work`` supplies two more buffers of its shape.
+    ``half`` holds the half phases omega_i tau / 2 along its frequency axis
+    ``axis`` and becomes the sines; ``work`` supplies two more buffers of its
+    shape.
     """
     sin, _, cos = _half_angle(half, *work)
-    return 0.5 + cos.sum(axis=-1) / (2.0 * half.shape[-1]), sin
+    return 0.5 + cos.sum(axis=axis) / (2.0 * half.shape[axis]), sin
 
 
 def toy_outcome_prob(tau, omega):
@@ -148,8 +153,11 @@ class ToyModel:
     """Ramsey probe dephasing under n unknown frequencies, binomial outcomes.
 
     Both likelihoods take cosines and sines from the half-angle ``tan`` pass
-    of :func:`_toy_prob`; ``batch_loglik`` runs in the row blocks of
-    :func:`_row_blocks`, its arrays laid out (rows, records, frequencies).
+    of :func:`_toy_prob`.  ``batch_loglik`` runs in the row blocks of
+    :func:`_row_blocks`, its arrays laid out (rows, frequencies, records) so
+    that no full-size pass runs an inner loop only n elements long: the
+    phases, the cosine sum and the sine scaling run over contiguous records,
+    and the omega-gradient is one matmul over them.
     """
 
     n_nuisance = 0
@@ -189,24 +197,22 @@ class ToyModel:
         """
         omega = np.atleast_2d(omega)
         n_rows, n_freq = omega.shape
-        tau = data.tau[:, None]
-        half_tau = 0.5 * tau
+        half_tau = 0.5 * data.tau
+        dp_dsin = data.tau / (-2.0 * self.n)             # dp/domega_i = -tau sin_i / (2n)
         failures = data.reps - data.counts
         ll = np.empty(n_rows)
         grad = np.empty((n_rows, n_freq))
-        for rows, _, work in _row_blocks(n_rows, data.tau.size, n_freq, _TOY_BUFFERS):
-            half = np.multiply(omega[rows, None, :], half_tau, out=work[0])    # (b, M, n)
-            p, sin = _toy_prob(half, work[1:])
+        for rows, _, work in _row_blocks(n_rows, n_freq, data.tau.size, _TOY_BUFFERS):
+            half = np.multiply(omega[rows, :, None], half_tau, out=work[0])    # (b, n, M)
+            p, sin = _toy_prob(half, work[1:], axis=1)
             np.clip(p, 1e-12, 1.0 - 1e-12, out=p)                            # (b, M)
             ll[rows] = (data.log_binom + data.counts * np.log(p)
                         + failures * np.log1p(-p)).sum(axis=1)
             dll_dp = data.counts / p - failures / (1.0 - p)
             if grad_weights is not None:
                 dll_dp *= grad_weights
-            dp_dw = np.negative(sin, out=sin)
-            dp_dw *= tau
-            dp_dw /= 2.0 * self.n                                            # (b, M, n)
-            grad[rows] = np.einsum("bm,bmn->bn", dll_dp, dp_dw)
+            dp_dw = np.multiply(sin, dp_dsin, out=sin)                       # (b, n, M)
+            np.matmul(dp_dw, dll_dp[:, :, None], out=grad[rows, :, None])
         return ll, grad, np.zeros((n_rows, 0))
 
     def record_loglik(self, record: MeasurementRecord, omega, phi=None) -> np.ndarray:

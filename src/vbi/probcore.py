@@ -67,9 +67,6 @@ class RngStream:
     def choice(self, a, size=None, p=None, replace=True):
         return self._gen.choice(a, size=size, p=p, replace=replace)
 
-    def multivariate_normal(self, mean, cov, size=None) -> np.ndarray:
-        return self._gen.multivariate_normal(mean, cov, size, method="cholesky")
-
 
 def log_gaussian_density(y, mean, variance):
     """log N(y; mean, variance) = -0.5 ln(2π v) - (y-mean)^2 / (2v).

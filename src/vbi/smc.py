@@ -43,9 +43,15 @@ def pf_init(prior_low, prior_high, n_particles: int, rng: RngStream) -> Particle
     return ParticleEnsemble(particles=particles, weights=weights, rng=rng)
 
 def _systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Indices of N systematic draws from ``weights``.
+
+    The last position can exceed a cumulative sum that rounds below 1, so
+    the indices are clamped to N - 1.
+    """
     n = weights.size
     positions = (rng.uniform() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights), positions)
+    idx = np.searchsorted(np.cumsum(weights), positions)
+    return np.minimum(idx, n - 1, out=idx)
 
 def pf_update(ens: ParticleEnsemble, record, model) -> ParticleEnsemble:
     """One Bayes update; resamples with Liu-West moves when ESS < N_p / 2.
@@ -73,8 +79,8 @@ def pf_update(ens: ParticleEnsemble, record, model) -> ParticleEnsemble:
     shrunk = LIU_WEST_A * ens.particles[idx] + (1.0 - LIU_WEST_A) * mean
     h2 = 1.0 - LIU_WEST_A ** 2
     d = ens.particles.shape[1]
-    jitter = ens.rng.multivariate_normal(np.zeros(d), h2 * cov + 1e-30 * np.eye(d),
-                                         size=ens.n_particles)
+    factor = np.linalg.cholesky(h2 * cov + 1e-30 * np.eye(d))
+    jitter = ens.rng.standard_normal((ens.n_particles, d)) @ factor.T
     return replace(ens, particles=shrunk + jitter,
                    weights=np.full(ens.n_particles, 1.0 / ens.n_particles))
 

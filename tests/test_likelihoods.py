@@ -56,16 +56,29 @@ def _toy_data(n, m=96, seed=7):
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_toy_batch_loglik_is_independent_of_block_size(monkeypatch, weighted):
-    model, records, rng = _toy_data(5)
+    for n in (5, 12):
+        model, records, rng = _toy_data(n)
+        data = model.prepare(records)
+        omega = rng.uniform(0.0, 1.0, (37, n))
+        weights = rng.uniform(0.0, 1.0, len(records)) if weighted else None
+        results = []
+        # blocks of 1 row, of 5 rows (37 is not a multiple) and of all rows
+        for elems in (1, 5 * n * len(records), 10 ** 9):
+            monkeypatch.setattr(lk, "_BLOCK_ELEMS", elems)
+            results.append(model.batch_loglik(data, omega, grad_weights=weights))
+        for ll, grad, _ in results[:-1]:
+            assert np.array_equal(ll, results[-1][0]) and np.array_equal(grad, results[-1][1])
+
+
+@pytest.mark.parametrize("n", [1, 8, 12])
+def test_toy_batch_loglik_equals_summed_record_logliks(n):
+    # n >= 8 reaches numpy's pairwise summation of the cosines
+    model, records, rng = _toy_data(n)
     data = model.prepare(records)
-    omega = rng.uniform(0.0, 1.0, (37, 5))
-    weights = rng.uniform(0.0, 1.0, len(records)) if weighted else None
-    results = []
-    for elems in (1, 10 ** 9):
-        monkeypatch.setattr(lk, "_BLOCK_ELEMS", elems)
-        results.append(model.batch_loglik(data, omega, grad_weights=weights))
-    (ll_1, grad_1, _), (ll_all, grad_all, _) = results
-    assert np.array_equal(ll_1, ll_all) and np.array_equal(grad_1, grad_all)
+    omega = rng.uniform(0.0, 1.0, (9, n))
+    ll, _, _ = model.batch_loglik(data, omega)
+    expected = sum(model.record_loglik(r, omega) for r in records) + data.log_binom.sum()
+    assert np.allclose(ll, expected, rtol=1e-12, atol=0.0)
 
 
 def test_toy_record_loglik_rows_equal_single_particle_calls():
@@ -78,21 +91,25 @@ def test_toy_record_loglik_rows_equal_single_particle_calls():
 
 
 def test_toy_batch_gradient_matches_fd():
-    model = lk.ToyModel(n=3)
-    rng = RngStream(3)
-    records = sample_records(model, rng, 10.0 ** rng.uniform(-1, 2, 12), 1,
-                             np.array([0.2, 0.5, 0.9]), None, 64)
-    data = model.prepare(records)
-    omega = np.array([[0.25, 0.48, 0.85], [0.1, 0.6, 0.95]])
-    _, grad, _ = model.batch_loglik(data, omega)
-    h = 1e-6
-    for b in range(2):
-        for i in range(3):
-            up, dn = omega.copy(), omega.copy()
-            up[b, i] += h
-            dn[b, i] -= h
-            fd = (model.batch_loglik(data, up)[0][b] - model.batch_loglik(data, dn)[0][b]) / (2 * h)
-            assert grad[b, i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+    truth_12 = np.sort(RngStream(12).uniform(0.0, 1.0, 12))
+    cases = [(np.array([0.2, 0.5, 0.9]), np.array([[0.25, 0.48, 0.85], [0.1, 0.6, 0.95]])),
+             (truth_12, truth_12 + RngStream(13).uniform(-0.05, 0.05, (2, 12)))]
+    for truth, omega in cases:
+        n = truth.size
+        model = lk.ToyModel(n=n)
+        rng = RngStream(3)
+        records = sample_records(model, rng, 10.0 ** rng.uniform(-1, 2, 12), 1, truth, None, 64)
+        data = model.prepare(records)
+        _, grad, _ = model.batch_loglik(data, omega)
+        h = 1e-6
+        for b in range(2):
+            for i in range(n):
+                up, dn = omega.copy(), omega.copy()
+                up[b, i] += h
+                dn[b, i] -= h
+                fd = (model.batch_loglik(data, up)[0][b]
+                      - model.batch_loglik(data, dn)[0][b]) / (2 * h)
+                assert grad[b, i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 # --------------------------------------------------------------------------

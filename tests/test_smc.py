@@ -85,6 +85,51 @@ def test_pf_resampling_resets_ess():
     assert out.ess() == pytest.approx(out.n_particles)
 
 
+class _TopUniform:
+    """Stub RNG whose uniform draw is the largest double below 1."""
+
+    def uniform(self):
+        return np.nextafter(1.0, 0.0)
+
+
+def test_systematic_resample_clamps_to_last_index():
+    n = 16384
+    weights = np.full(n, 1.0 / n)
+    weights[-1] -= 1.2e-15
+    assert np.cumsum(weights)[-1] == 0.9999999999999988
+    idx = smc._systematic_resample(weights, _TopUniform())
+    assert idx.min() == 0 and idx.max() == n - 1
+
+
+class _QuadraticModel:
+    """log-likelihood -|theta - 0.3|^2 / 0.02, sharp enough to force resampling."""
+
+    def record_loglik(self, record, particles):
+        return -np.sum((particles - 0.3) ** 2, axis=1) / 0.02
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 12])
+def test_liu_west_jitter_equals_numpy_cholesky_draws(d):
+    n = 2048
+    ens = smc.pf_init(np.zeros(d), np.ones(d), n, RngStream(17))
+    twin = RngStream(17)
+    twin.uniform(np.zeros(d), np.ones(d), size=(n, d))           # the draws of pf_init
+    out = smc.pf_update(ens, MeasurementRecord(1.0, 1, 1, 0.5), _QuadraticModel())
+    assert out.ess() == pytest.approx(n)
+    log_w = np.log(ens.weights + 1e-300) + _QuadraticModel().record_loglik(None, ens.particles)
+    w = np.exp(log_w - np.max(log_w))
+    w /= w.sum()
+    mean = w @ ens.particles
+    centered = ens.particles - mean
+    cov = (centered * w[:, None]).T @ centered
+    idx = smc._systematic_resample(w, twin)
+    shrunk = smc.LIU_WEST_A * ens.particles[idx] + (1.0 - smc.LIU_WEST_A) * mean
+    h2 = 1.0 - smc.LIU_WEST_A ** 2
+    jitter = twin._gen.multivariate_normal(np.zeros(d), h2 * cov + 1e-30 * np.eye(d), size=n,
+                                           method="cholesky")
+    assert np.array_equal(out.particles, shrunk + jitter)
+
+
 def test_pf_underflow_resets_to_uniform():
     class ImpossibleModel:
         def record_loglik(self, record, particles):
