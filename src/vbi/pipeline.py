@@ -87,7 +87,7 @@ _OWN = {
         },
         "selection": {
             "aperp_threshold_mhz": float, "az_max_mhz": float,
-            "mahalanobis_t": float, "draws": int, "cluster_seed": int,
+            "mahalanobis_t": float, "draws": int,
         },
     },
     MODEL_TOY: {
@@ -228,7 +228,7 @@ def selection_settings(config: dict) -> dict:
     return {"aperp_threshold_mhz": selection.DEFAULT_APERP_THRESHOLD,
             "az_max_mhz": selection.DEFAULT_AZ_MAX,
             "mahalanobis_t": selection.DEFAULT_MAHALANOBIS_T,
-            "draws": selection.DEFAULT_DRAWS, "cluster_seed": 0,
+            "draws": selection.DEFAULT_DRAWS,
             **config.get("selection", {})}
 
 
@@ -426,8 +426,8 @@ def select_spins(config: dict, params: flows.FlowParameters, seed: int, truth=No
     """Pick the spin count and couplings a fitted posterior supports, as ``vbi select``.
 
     Draws ``selection.draws`` samples from ``RngStream(seed)``, thresholds
-    them to a class each, and clusters the spins of the MAP class with
-    ``selection.cluster_seed``.  Given the (K, 2) (A_z, A_perp) ``truth``, the
+    them to a class each, and clusters the spins of the MAP class from the
+    ansatz slots they came from.  Given the (K, 2) (A_z, A_perp) ``truth``, the
     clusters are scored against (A_z, |A_perp|) with ``selection.mahalanobis_t``.
     Returns (PosteriorSampleSet, clusters, MetricsReport, HyperfineErrors);
     the last two are None without a truth, and the errors also when no spin
@@ -439,7 +439,7 @@ def select_spins(config: dict, params: flows.FlowParameters, seed: int, truth=No
     n = sample_set.map_class
     clusters = []
     if n > 0:
-        clusters = selection.cluster_spins(sample_set.class_points(n), n, seed=sc["cluster_seed"])
+        clusters = selection.cluster_spins(sample_set.class_points(n), sample_set.class_slots(n), n)
     metrics = errors = None
     if truth is not None:
         truth = np.column_stack([truth[:, 0], np.abs(truth[:, 1])])

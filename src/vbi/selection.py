@@ -3,7 +3,8 @@
 Posterior draws are thresholded, all in one pass, and pruned to a spin count
 (the model class), classes get pseudo-Bayesian probabilities from their sample
 fractions, the kept spins of a class are marginalized to 2D (A_z, |A_perp|)
-points and clustered, and clusters are scored against a ground truth with
+points and clustered by Lloyd iterations started from the ansatz slots the
+points were kept from, and clusters are scored against a ground truth with
 Mahalanobis gating.
 """
 
@@ -15,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .probcore import RngStream
 
 DEFAULT_APERP_THRESHOLD = 0.05   # angular MHz (50 kHz)
 DEFAULT_AZ_MAX = 0.5             # reporting window on the parallel coupling
@@ -40,13 +39,20 @@ class PosteriorSampleSet:
     map_class: int
     aperp_threshold: float
 
+    def _class_mask(self, n: int) -> np.ndarray:
+        return self.keep & (self.classes == n)[:, None]
+
     def class_points(self, n: int) -> np.ndarray:
         """(A_z, |A_perp|) of the kept spins of the class-n draws, in draw then spin order.
 
         Marginalizing over spins this way breaks the inter-spin correlations:
-        n * |S_n| points, the k-means input of the class.
+        n * |S_n| points, the clustering input of the class.
         """
-        return self.spins[self.keep & (self.classes == n)[:, None]]
+        return self.spins[self._class_mask(n)]
+
+    def class_slots(self, n: int) -> np.ndarray:
+        """The ansatz slot of each point of :meth:`class_points`, in the same order."""
+        return np.nonzero(self._class_mask(n))[1]
 
 
 def build_sample_set(raw_draws, aperp_threshold: float,
@@ -78,28 +84,18 @@ def map_class(probabilities: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# k-means with inertia-based cluster count
+# slot-started Lloyd clustering with inertia-based cluster count
 # ---------------------------------------------------------------------------
 
 
-KMEANS_ITERS = 60       # Lloyd iterations per k-means run, unless labels settle first
-KMEANS_RESTARTS = 20    # seeded k-means runs per cluster count; the lowest inertia wins
+KMEANS_ITERS = 60       # Lloyd iterations per cluster-count trial, unless labels settle first
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: RngStream):
-    n = points.shape[0]
-    centers = np.empty((k, 2))
-    centers[0] = points[int(rng.integers(0, n))]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, k):  # k-means++ seeding
-        total = d2.sum()
-        if total <= 0:
-            centers[j:] = points[int(rng.integers(0, n))]
-            break
-        centers[j] = points[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+def _lloyd(points: np.ndarray, centers: np.ndarray):
+    """Refine ``centers`` in place: (labels, centers, squared residual of each point)."""
+    k = centers.shape[0]
     sq_norms = np.sum(points * points, axis=1)
-    labels = np.zeros(n, dtype=int)
+    labels = np.zeros(points.shape[0], dtype=int)
     for _ in range(KMEANS_ITERS):
         dist = sq_norms[:, None] - 2.0 * points @ centers.T + np.sum(centers * centers, axis=1)
         new_labels = dist.argmin(axis=1)
@@ -113,17 +109,7 @@ def _kmeans_once(points: np.ndarray, k: int, rng: RngStream):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    inertia = float(np.sum((points - centers[labels]) ** 2))
-    return labels, centers, inertia
-
-
-def _kmeans(points: np.ndarray, k: int, rng: RngStream):
-    best = None
-    for _ in range(KMEANS_RESTARTS):
-        out = _kmeans_once(points, k, rng)
-        if best is None or out[2] < best[2]:
-            best = out
-    return best
+    return labels, centers, np.sum((points - centers[labels]) ** 2, axis=1)
 
 
 # A split that separates two distinct modes removes nearly all of their
@@ -132,21 +118,25 @@ def _kmeans(points: np.ndarray, k: int, rng: RngStream):
 SPLIT_IMPROVEMENT = 0.8
 
 
-def _select_cluster_count(points: np.ndarray, n: int, n_max: int, rng: RngStream):
-    """Cluster count and k-means result for the marginalized cloud of an n-spin class.
+def _select_cluster_count(points: np.ndarray, slots: np.ndarray, n: int, n_max: int):
+    """Cluster count and labels for the marginalized cloud of an n-spin class.
 
-    Starts at one cluster per spin of the class, k = n, and adds a cluster
-    while that cuts the total inertia by at least ``SPLIT_IMPROVEMENT``, so only
-    mode-separating splits are taken, up to ``n_max``.  Returns
-    (k, (labels, centers, inertia)).
+    Starts Lloyd at one cluster per spin of the class, k = n, from the mean
+    points of the n slots kept most often (ties to the lower slot), in slot
+    order.  Each trial at k + 1 starts from the current centres plus the
+    current worst-fit point, and is taken while it cuts the total inertia by at
+    least ``SPLIT_IMPROVEMENT``, so only mode-separating splits are taken, up
+    to ``n_max``.  Returns (k, labels).
     """
-    k, best = n, _kmeans(points, n, rng)
-    while k < n_max and best[2] > 1e-30:
-        trial = _kmeans(points, k + 1, rng)
-        if best[2] - trial[2] < SPLIT_IMPROVEMENT * best[2]:
+    top = np.sort(np.argsort(-np.bincount(slots), kind="stable")[:n])
+    start = np.stack([points[slots == j].mean(axis=0) for j in top])
+    labels, centers, resid = _lloyd(points, start)
+    while len(centers) < n_max and resid.sum() > 1e-30:
+        trial = _lloyd(points, np.vstack([centers, points[resid.argmax()]]))
+        if resid.sum() - trial[2].sum() < SPLIT_IMPROVEMENT * resid.sum():
             break
-        k, best = k + 1, trial
-    return k, best
+        labels, centers, resid = trial
+    return len(centers), labels
 
 
 @dataclass
@@ -156,26 +146,30 @@ class Cluster:
     weight: float           # average number of spins represented (#S)
 
 
-def cluster_spins(points: np.ndarray, n: int, seed: int = 0) -> list[Cluster]:
-    """K-means over the marginalized single-spin cloud of an n-spin class.
+def cluster_spins(points: np.ndarray, slots: np.ndarray, n: int) -> list[Cluster]:
+    """Lloyd clustering of the marginalized single-spin cloud of an n-spin class.
 
-    Every draw of the class holds n spins, so the count starts at one cluster
-    per spin, n.  It grows past n (up to 2n) only while a split cuts the
-    inertia by at least ``SPLIT_IMPROVEMENT``, because a multimodal single-spin
-    posterior legitimately splits into several fractional-weight clusters.
+    ``slots`` holds the ansatz slot each point was kept from.  Every draw of
+    the class keeps n slots, so the clustering starts at one cluster per spin,
+    k = n, from the mean points of the n slots kept most often.  It grows past
+    n (up to 2n) only while a split cuts the inertia by at least
+    ``SPLIT_IMPROVEMENT``, because a multimodal single-spin posterior
+    legitimately splits into several fractional-weight clusters.
     On the desk-scale spin-identification fits every well-separated spin
     cloud gets one cluster.
     Weights are |K_j| / |S_n| so they sum to n; covariances of clusters with
     fewer than three points get a 1e-12 ridge.
     """
     points = np.asarray(points, dtype=float)
+    slots = np.asarray(slots, dtype=int)
     if n < 1:
         raise ValueError("class must contain at least one spin")
     if points.shape[0] < n or points.shape[0] % n:
         raise ValueError("point count must be a positive multiple of the class size")
+    if slots.shape != points.shape[:1] or np.count_nonzero(np.bincount(slots)) < n:
+        raise ValueError("need one slot per point, from at least n slots")
     n_samples = points.shape[0] // n
-    rng = RngStream(seed)
-    l_n, (labels, _, _) = _select_cluster_count(points, n, min(2 * n, points.shape[0]), rng)
+    l_n, labels = _select_cluster_count(points, slots, n, min(2 * n, points.shape[0]))
     clusters = []
     for j in range(l_n):
         members = points[labels == j]
@@ -320,6 +314,5 @@ def write_samples_csv(path, sample_set: PosteriorSampleSet) -> None:
     """One row per pruned draw: n followed by its 2n coupling values."""
     with open(path, "w") as fh:
         fh.write("n,couplings\n")
-        for n, spins, keep in zip(sample_set.classes, sample_set.spins, sample_set.keep):
-            flat = ",".join(repr(float(v)) for v in spins[keep].ravel())
-            fh.write(f"{n}" + (f",{flat}" if flat else "") + "\n")
+        for n, spins, keep in zip(sample_set.classes.tolist(), sample_set.spins, sample_set.keep):
+            fh.write(",".join([str(n), *map(repr, spins[keep].ravel().tolist())]) + "\n")

@@ -63,7 +63,7 @@ DD_ONLY = {
               "truth_spins": [[0.1, 0.2]], "truth_count": 2, "az_range": [-0.1, 0.1],
               "aperp_range": [0.1, 0.3], "min_delta_az": 0.03},
     "selection": {"aperp_threshold_mhz": 0.05, "az_max_mhz": 0.3, "mahalanobis_t": 4.0,
-                  "draws": 16, "cluster_seed": 1},
+                  "draws": 16},
 }
 TOY_ONLY = {
     "model": {"n_frequencies": 2, "log_tau_range": [-1.0, 2.0], "truth_frequencies": [0.5]},
@@ -87,8 +87,10 @@ WRONG_KIND = [(kind, section, key, value)
     ({"model": {"kind": "toy"}, "selection": {"banana": 1}}, "selection.banana"),
     *[({"model": {"kind": "toy"}, "bench": {key: value}}, f"bench.{key}")
       for key, value in (("batch", 16), ("steps", 60), ("lr_start", 1e-2), ("lr_end", 1e-3))],
+    ({"model": {"kind": "dd", "B_gauss": 403.0}, "selection": {"cluster_seed": 0}},
+     "selection.cluster_seed"),
 ], ids=["model.banana", "train.init_spread", "toy-empty-selection", "toy-selection.banana",
-        "bench.batch", "bench.steps", "bench.lr_start", "bench.lr_end"])
+        "bench.batch", "bench.steps", "bench.lr_start", "bench.lr_end", "selection.cluster_seed"])
 def test_unknown_key_rejected(tmp_path, capsys, config, key):
     path = write_config(tmp_path, config)
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])

@@ -120,6 +120,14 @@ def test_class_points_are_kept_pairs_in_draw_then_spin_order():
         assert np.array_equal(ss.class_points(n), np.array(pairs).reshape(-1, 2))
 
 
+def test_class_slots_are_the_slots_of_class_points():
+    theta = np.array([interleave([0.1, 0.2, -0.1], [0.2, 0.01, 0.07]),
+                      interleave([0.3, 0.2, -0.1], [0.01, 0.2, 0.07])])
+    ss = selection.build_sample_set(theta, 0.05)
+    assert ss.class_slots(2).tolist() == [0, 2, 1, 2]
+    assert np.array_equal(ss.class_points(2), ss.spins[[0, 0, 1, 1], [0, 2, 1, 2]])
+
+
 # --------------------------------------------------------------------------
 # clustering
 # --------------------------------------------------------------------------
@@ -129,7 +137,7 @@ def test_single_position_cluster_weight_one():
     rng = RngStream(2)
     points = np.column_stack([0.1 + 1e-4 * rng.standard_normal(200),
                               0.3 + 1e-4 * rng.standard_normal(200)])
-    clusters = selection.cluster_spins(points, 1)
+    clusters = selection.cluster_spins(points, np.arange(len(points)) % 1, 1)
     assert len(clusters) == 1
     assert clusters[0].weight == pytest.approx(1.0)
 
@@ -141,7 +149,7 @@ def test_split_posterior_half_weights():
     b = np.column_stack([0.4 + 1e-3 * rng.standard_normal(100),
                          0.35 + 1e-3 * rng.standard_normal(100)])
     points = np.concatenate([a, b])
-    clusters = selection.cluster_spins(points, 1)
+    clusters = selection.cluster_spins(points, np.arange(len(points)) % 1, 1)
     assert len(clusters) == 2
     assert sorted(c.weight for c in clusters) == pytest.approx([0.5, 0.5])
 
@@ -156,7 +164,7 @@ def test_two_blob_recovery():
     points = np.empty((2 * n, 2))
     points[0::2] = blob_a
     points[1::2] = blob_b
-    clusters = selection.cluster_spins(points, 2)
+    clusters = selection.cluster_spins(points, np.arange(len(points)) % 2, 2)
     assert len(clusters) == 2
     mus = sorted((c.mu.tolist() for c in clusters))
     se = 3 * 0.005 / np.sqrt(n)
@@ -166,11 +174,33 @@ def test_two_blob_recovery():
     assert total == pytest.approx(2.0, abs=1e-9)
 
 
+def test_slot_start_keeps_close_slot_clouds_apart():
+    # Slots 0 and 1 are clouds 50 kHz apart; slot 2 is bimodal, its modes
+    # 200 kHz apart.  At k = 3, merging slots 0 and 1 leaves less inertia
+    # than keeping slot 2 whole, and splitting the merged pair at k = 4 then
+    # removes too little of the total, so a k-means that ignores the slots
+    # ends with one cluster of weight 2.0.  Started from the slots, k = 3 is
+    # one cluster per slot and the split of slot 2 is taken.
+    rng = RngStream(11)
+    n_draws = 200
+    centres = np.zeros((n_draws, 3, 2))
+    centres[:, 0] = [0.0, 0.3]
+    centres[:, 1] = [0.05, 0.3]
+    centres[:, 2, 0] = 0.3
+    centres[:, 2, 1] = np.where(np.arange(n_draws) % 2, 0.1, 0.3)
+    spread = np.array([0.005, 0.015])   # (A_z, A_perp) standard deviations
+    points = (centres + spread * rng.standard_normal(centres.shape)).reshape(-1, 2)
+    clusters = selection.cluster_spins(points, np.arange(len(points)) % 3, 3)
+    assert sorted(c.weight for c in clusters) == pytest.approx([0.5, 0.5, 1.0, 1.0])
+    whole = sorted(c.mu[0] for c in clusters if c.weight == pytest.approx(1.0))
+    assert whole == pytest.approx([0.0, 0.05], abs=0.005)
+
+
 def test_cluster_weights_sum_to_class_size():
     rng = RngStream(5)
     n_class, n_samples = 4, 300
     points = rng.uniform(0, 0.5, (n_class * n_samples, 2))
-    clusters = selection.cluster_spins(points, n_class, seed=1)
+    clusters = selection.cluster_spins(points, np.arange(len(points)) % n_class, n_class)
     assert sum(c.weight for c in clusters) == pytest.approx(n_class, abs=1e-9)
 
 
@@ -270,7 +300,7 @@ def test_selection_report_and_samples_csv(tmp_path):
     rng = RngStream(9)
     draws = np.column_stack([rng.uniform(-0.2, 0.2, 50), rng.uniform(0.2, 0.4, 50)])
     ss = selection.build_sample_set(draws, 0.05)
-    clusters = selection.cluster_spins(ss.class_points(1), 1)
+    clusters = selection.cluster_spins(ss.class_points(1), ss.class_slots(1), 1)
     metrics = selection.ml_metrics(clusters, [[0.0, 0.3]], t=4.0)
     report = selection.selection_report(ss, clusters, metrics)
     path = tmp_path / "report.json"
@@ -287,3 +317,14 @@ def test_selection_report_and_samples_csv(tmp_path):
     assert len(lines) == 51
     first = lines[1].split(",")
     assert int(first[0]) == 1 and len(first) == 1 + 2
+
+
+def test_samples_csv_rows_are_the_kept_couplings(tmp_path):
+    theta = np.array([interleave([0.1, 0.2, -0.1], [0.2, 0.01, -0.07]),
+                      interleave([0.3, 0.2, -0.1], [0.01, 0.02, 0.03]),
+                      interleave([0.3, 1 / 3, -0.1], [0.01, 0.2, 0.07])])
+    ss = selection.build_sample_set(theta, 0.05)
+    path = tmp_path / "samples.csv"
+    selection.write_samples_csv(path, ss)
+    assert path.read_text() == ("n,couplings\n2,0.1,0.2,-0.1,0.07\n0\n"
+                                "2,0.3333333333333333,0.2,-0.1,0.07\n")
