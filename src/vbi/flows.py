@@ -17,13 +17,19 @@ dimensions through a one-hidden-layer tanh conditioner with MADE-style masks:
 so the Jacobian is triangular, log|det| = sum_i a_i, and the inverse is exact,
 recovered one dimension at a time.  Alternating layers reverse the dimension
 ordering so every coordinate conditions on every other across the stack.
+
+The trainable parameters are one flat vector: mu, the stored entries of L (its
+diagonal for ``mean-field``, its lower triangle row by row otherwise), then
+w1, b1, wa, ba, wt, bt of each layer.  Only :func:`_layout` encodes the order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,7 +47,7 @@ CONDITIONER_STD = 1e-2     # spread of the initial conditioner weights
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Shape of the posterior ansatz."""
+    """Shape of the posterior ansatz; ``n_layers`` is 0 outside ``stacked``."""
 
     d: int
     family: str = MEAN_FIELD
@@ -60,10 +66,6 @@ class AnsatzSpec:
                 raise ValueError("hidden_width must be >= 1")
         else:
             object.__setattr__(self, "n_layers", 0)
-
-    @property
-    def effective_layers(self) -> int:
-        return self.n_layers if self.family == STACKED else 0
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +90,21 @@ def _made_masks(d: int, hidden: int, reverse: bool):
     return m1, mo
 
 
+@lru_cache(maxsize=None)
+def _layout(spec: AnsatzSpec):
+    """(start, stop, shape) of each tensor in the flat vector, the (rows, cols)
+    in L of each stored entry, and the mask of the softplus-stored diagonal of
+    L in the vector.  Cached per spec; the arrays are read-only."""
+    d, h = spec.d, spec.hidden_width
+    rows, cols = np.diag_indices(d) if spec.family == MEAN_FIELD else np.tril_indices(d)
+    shapes = [(d,), (rows.size,)] + [(h, d), (h,), (d, h), (d,), (d, h), (d,)] * spec.n_layers
+    stops = list(accumulate(math.prod(shape) for shape in shapes))
+    scale_mask = np.zeros(stops[-1], dtype=bool)
+    scale_mask[stops[0]:stops[1]] = rows == cols
+    rows.flags.writeable = cols.flags.writeable = scale_mask.flags.writeable = False
+    return tuple(zip([0] + stops, stops, shapes)), (rows, cols), scale_mask
+
+
 @dataclass
 class _LayerParams:
     w1: np.ndarray  # (H, d) conditioner input weights
@@ -98,84 +115,62 @@ class _LayerParams:
     bt: np.ndarray  # (d,)
 
 
+def _views(slots, vector: np.ndarray):
+    """(mu, l_entries, [_LayerParams]) as views into a flat vector with these slots."""
+    views = [vector[start:stop].reshape(shape) for start, stop, shape in slots]
+    return views[0], views[1], [_LayerParams(*views[i:i + 6]) for i in range(2, len(views), 6)]
+
+
 class FlowParameters:
-    """Trainable variables of the ansatz.
+    """Trainable variables of the ansatz: a copy of ``vector``, the flat vector
+    the optimiser steps and the checkpoint stores.  It holds mu (d), the stored
+    entries of L, then w1 (H, d), b1 (H), wa (d, H), ba (d), wt (d, H), bt (d)
+    of each layer; ``mu``, ``l_entries`` and ``layers`` are views into it.  L's
+    diagonal is stored unconstrained (softplus applied on read), so every vector
+    gives a bijection."""
 
-    ``l_raw`` stores the lower-triangular factor with its diagonal in
-    unconstrained form (softplus applied on read), so every parameter vector
-    corresponds to a bijection.
-    """
-
-    def __init__(self, spec: AnsatzSpec, mu, l_raw, layers):
+    def __init__(self, spec: AnsatzSpec, vector):
         self.spec = spec
-        self.mu = np.asarray(mu, dtype=float)
-        self.l_raw = np.asarray(l_raw, dtype=float)
-        self.layers = layers
-        d = spec.d
-        if self.mu.shape != (d,) or self.l_raw.shape != (d, d):
-            raise ValueError("parameter shapes do not match the ansatz spec")
-        self._masks = [_made_masks(d, spec.hidden_width, bool(i % 2))
-                       for i in range(spec.effective_layers)]
+        self._slots, self._l_index, self._scale_mask = _layout(spec)
+        self._vector = np.array(vector, dtype=float)
+        if self._vector.shape != self._scale_mask.shape:
+            raise ValueError(f"flat vector has {self._vector.size} entries, "
+                             f"expected {self._scale_mask.size}")
+        self.mu, self.l_entries, self.layers = _views(self._slots, self._vector)
+        self._masks = [_made_masks(spec.d, spec.hidden_width, bool(i % 2))
+                       for i in range(spec.n_layers)]
 
-    # -- effective affine factor ------------------------------------------
+    @property
+    def l_raw(self) -> np.ndarray:
+        """L with its diagonal still in unconstrained form, as a new array."""
+        low = np.zeros((self.d, self.d))
+        low[self._l_index] = self.l_entries
+        return low
 
     def l_matrix(self) -> np.ndarray:
-        low = np.tril(self.l_raw, -1)
-        np.fill_diagonal(low, softplus(np.diag(self.l_raw)))
+        low = self.l_raw
+        np.fill_diagonal(low, softplus(np.diag(low)))
         return low
 
     @property
     def d(self) -> int:
         return self.spec.d
 
-    # -- flat packing (order: mu, L entries, then per-layer tensors) -------
-
-    def _l_indices(self):
-        d = self.spec.d
-        if self.spec.family == MEAN_FIELD:
-            return np.diag_indices(d)
-        return np.tril_indices(d)
-
     def to_vector(self) -> np.ndarray:
-        parts = [self.mu, self.l_raw[self._l_indices()]]
-        for lp in self.layers:
-            parts.extend([lp.w1.ravel(), lp.b1, lp.wa.ravel(), lp.ba, lp.wt.ravel(), lp.bt])
-        return np.concatenate(parts)
+        return self._vector.copy()
 
-    def from_vector(self, vec: np.ndarray) -> "FlowParameters":
-        """New FlowParameters with the same spec and the given flat values."""
-        vec = np.asarray(vec, dtype=float)
-        d, h = self.spec.d, self.spec.hidden_width
-        mu, i = vec[:d].copy(), d
-        idx = self._l_indices()
-        l_raw = np.zeros((d, d))
-        k = len(idx[0])
-        l_raw[idx] = vec[i:i + k]
-        i += k
-        layers = []
-        for _ in range(self.spec.effective_layers):
-            w1 = vec[i:i + h * d].reshape(h, d).copy(); i += h * d
-            b1 = vec[i:i + h].copy(); i += h
-            wa = vec[i:i + d * h].reshape(d, h).copy(); i += d * h
-            ba = vec[i:i + d].copy(); i += d
-            wt = vec[i:i + d * h].reshape(d, h).copy(); i += d * h
-            bt = vec[i:i + d].copy(); i += d
-            layers.append(_LayerParams(w1, b1, wa, ba, wt, bt))
-        if i != vec.size:
-            raise ValueError(f"flat vector has {vec.size} entries, expected {i}")
-        return FlowParameters(self.spec, mu, l_raw, layers)
+    def from_vector(self, vec) -> "FlowParameters":
+        """New FlowParameters with the same spec and a copy of the given flat values."""
+        return FlowParameters(self.spec, vec)
 
     @property
     def n_parameters(self) -> int:
-        return self.to_vector().size
+        return self._vector.size
 
     def scale_mask(self) -> np.ndarray:
         """Boolean mask over :meth:`to_vector` marking the softplus-stored
         diagonal of L."""
-        rows, cols = self._l_indices()
-        mask = np.zeros(self.n_parameters, dtype=bool)
-        mask[self.spec.d:self.spec.d + rows.size] = rows == cols
-        return mask
+        return self._scale_mask.copy()
 
 
 def init_flow_parameters(spec: AnsatzSpec, mu0, scale0,
@@ -186,28 +181,20 @@ def init_flow_parameters(spec: AnsatzSpec, mu0, scale0,
     Gaussian; conditioner weights start at N(0, CONDITIONER_STD^2) so the
     autoregressive layers begin close to the identity.
     """
-    d = spec.d
-    mu = np.broadcast_to(np.asarray(mu0, dtype=float), (d,)).copy()
-    scale = np.broadcast_to(np.asarray(scale0, dtype=float), (d,)).copy()
+    scale = np.broadcast_to(np.asarray(scale0, dtype=float), (spec.d,))
     if np.any(scale <= 0):
         raise ValueError("initial scales must be positive")
-    l_raw = np.zeros((d, d))
-    np.fill_diagonal(l_raw, softplus_inv(scale))
-    layers = []
-    if spec.effective_layers:
-        if rng is None:
-            raise ValueError("stacked family needs an RngStream for conditioner init")
-        h = spec.hidden_width
-        for _ in range(spec.n_layers):
-            layers.append(_LayerParams(
-                w1=CONDITIONER_STD * rng.standard_normal((h, d)),
-                b1=np.zeros(h),
-                wa=CONDITIONER_STD * rng.standard_normal((d, h)),
-                ba=np.zeros(d),
-                wt=CONDITIONER_STD * rng.standard_normal((d, h)),
-                bt=np.zeros(d),
-            ))
-    return FlowParameters(spec, mu, l_raw, layers)
+    if spec.n_layers and rng is None:
+        raise ValueError("stacked family needs an RngStream for conditioner init")
+    _, _, scale_mask = _layout(spec)
+    vector = np.zeros(scale_mask.size)
+    vector[scale_mask] = softplus_inv(scale)
+    params = FlowParameters(spec, vector)
+    params.mu[:] = mu0
+    for lp in params.layers:
+        for weights in (lp.w1, lp.wa, lp.wt):
+            weights[:] = CONDITIONER_STD * rng.standard_normal(weights.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -336,45 +323,36 @@ def backward_batch(cache: _BatchCache, dl_dtheta: np.ndarray, dl_dlogq: np.ndarr
     dl_dtheta = np.atleast_2d(np.asarray(dl_dtheta, dtype=float))
     g_ld = -np.atleast_1d(np.asarray(dl_dlogq, dtype=float))
 
+    grad = np.empty(params.n_parameters)
+    g_mu, g_l, g_layers = _views(params._slots, grad)
     low = params.l_matrix()
-    diag_raw = np.diag(params.l_raw)
-    x_aff = cache.affine_in
 
-    g_mu = dl_dtheta.sum(axis=0)
-    g_l = dl_dtheta.T @ x_aff
-    g_l = np.tril(g_l)
-    diag = np.diag(low)
-    g_diag = np.diag(g_l) + g_ld.sum() / diag
-    g_l_raw = g_l.copy()
-    sig = 1.0 / (1.0 + np.exp(-diag_raw))  # d softplus / d raw
-    np.fill_diagonal(g_l_raw, g_diag * sig)
+    g_mu[:] = dl_dtheta.sum(axis=0)
+    g_low = np.tril(dl_dtheta.T @ cache.affine_in)
+    g_diag = np.diag(g_low) + g_ld.sum() / np.diag(low)
+    sig = 1.0 / (1.0 + np.exp(-np.diag(params.l_raw)))  # d softplus / d raw
+    np.fill_diagonal(g_low, g_diag * sig)
+    g_l[:] = g_low[params._l_index]
 
     gx = dl_dtheta @ low
 
-    layer_grads = []
     for i in reversed(range(len(params.layers))):
-        lp = params.layers[i]
+        lp, gp = params.layers[i], g_layers[i]
         m1, mo = params._masks[i]
         x, h, a = cache.layer_io[i]
         ea = np.exp(a)
         g_a = gx * x * ea + g_ld[:, None]
         g_t = gx
-        g_wa = (g_a.T @ h) * mo
-        g_ba = g_a.sum(axis=0)
-        g_wt = (g_t.T @ h) * mo
-        g_bt = g_t.sum(axis=0)
+        gp.wa[:] = (g_a.T @ h) * mo
+        gp.ba[:] = g_a.sum(axis=0)
+        gp.wt[:] = (g_t.T @ h) * mo
+        gp.bt[:] = g_t.sum(axis=0)
         g_h = g_a @ (lp.wa * mo) + g_t @ (lp.wt * mo)
         g_pre = g_h * (1.0 - h * h)
-        g_w1 = (g_pre.T @ x) * m1
-        g_b1 = g_pre.sum(axis=0)
+        gp.w1[:] = (g_pre.T @ x) * m1
+        gp.b1[:] = g_pre.sum(axis=0)
         gx = gx * ea + g_pre @ (lp.w1 * m1)
-        layer_grads.append([g_w1.ravel(), g_b1, g_wa.ravel(), g_ba, g_wt.ravel(), g_bt])
-
-    idx = params._l_indices()
-    parts = [g_mu, g_l_raw[idx]]
-    for grads in reversed(layer_grads):
-        parts.extend(grads)
-    return np.concatenate(parts)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +385,7 @@ def load_checkpoint(path):
     try:
         spec = AnsatzSpec(d=payload["d"], family=payload["family"],
                           n_layers=payload["n_layers"], hidden_width=payload["hidden_width"])
-        vector = np.asarray(payload["params"], dtype=float)
+        params = FlowParameters(spec, payload["params"])
     except KeyError as err:
         raise ValueError(f"checkpoint {path} lacks field {err.args[0]!r}") from None
-    template = init_flow_parameters(spec, np.zeros(spec.d), np.ones(spec.d),
-                                    rng=RngStream(0) if spec.effective_layers else None)
-    params = template.from_vector(vector)
     return params, payload.get("extra", {})

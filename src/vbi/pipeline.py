@@ -238,7 +238,7 @@ def _train_config(config: dict, seed: int, kind: str) -> trainer.TrainConfig:
     toy fit to a larger learning rate."""
     tc, rc = config.get("train", {}), config.get("regularizer", {})
     if kind == MODEL_DD:
-        rc = {"kind": "l2", "sigma": 1e-3, "trainable": True, **rc}
+        rc = {"kind": "l2", "trainable": True, **rc}
     else:
         tc = {"lr_start": 1e-2, "lr_end": 1e-3, **tc}
     return trainer.TrainConfig(
@@ -274,7 +274,7 @@ def matched_filter_az_scores(records, omega_l):
     return az_grid, scores
 
 
-def greedy_comb_init(records, omega_l, k_max, n_pi):
+def greedy_comb_init(records, omega_l, k_max):
     """Forward-select spins that actually improve the fit of the signal.
 
     Candidates are the strongest resonance-comb scores; each round adds the
@@ -284,8 +284,10 @@ def greedy_comb_init(records, omega_l, k_max, n_pi):
     ``GREEDY_REL_FLOOR`` or the residual has reached the shot-noise floor, so noise
     wiggles never spawn spins.  Harmonic ghosts never survive: once the parent
     spin is in the active set, the ghost's dips are already explained.
+    Spin sets are scored at each record's own N_pi.
     """
     taus = np.array([r.tau_us for r in records])
+    n_pi = np.array([r.n_pi for r in records])
     ys = np.array([r.y for r in records])
     reps = np.array([r.repetitions for r in records], dtype=float)
     phi = NuisanceParams(t2_inv=GREEDY_T2_INV)
@@ -377,7 +379,7 @@ def greedy_comb_init(records, omega_l, k_max, n_pi):
 
 
 def _dd_init_params(spec: flows.AnsatzSpec, k_spins: int, seed: int, records,
-                    omega_l: float, n_pi: int) -> flows.FlowParameters:
+                    omega_l: float) -> flows.FlowParameters:
     """Initial ansatz for a spin-identification fit.
 
     Warm-starts at the greedy comb fit of the data, leaving surplus spins
@@ -388,7 +390,7 @@ def _dd_init_params(spec: flows.AnsatzSpec, k_spins: int, seed: int, records,
     k = k_spins
     mu = np.empty(2 * k)
     scale = np.empty(2 * k)
-    spins = greedy_comb_init(records, omega_l, k, n_pi)
+    spins = greedy_comb_init(records, omega_l, k)
     for j in range(k):
         if j < len(spins):
             # start sharp: a wide initial spread smears the predicted dips
@@ -402,8 +404,7 @@ def _dd_init_params(spec: flows.AnsatzSpec, k_spins: int, seed: int, records,
             mu[2 * j] = rng.uniform(-0.3, 0.3)
             mu[2 * j + 1] = 1e-4
             scale[2 * j], scale[2 * j + 1] = 0.01, 0.003
-    return flows.init_flow_parameters(spec, mu, scale,
-                                      rng if spec.effective_layers else None)
+    return flows.init_flow_parameters(spec, mu, scale, rng)
 
 
 def fit_dataset(config: dict, records, seed: int):
@@ -416,8 +417,7 @@ def fit_dataset(config: dict, records, seed: int):
     tcfg = _train_config(config, seed, kind)
     spec = flows.AnsatzSpec(d=model.dim, **config.get("ansatz", {}))
     if kind == MODEL_DD:
-        init = _dd_init_params(spec, model.k_spins, tcfg.seed, records, model.omega_l,
-                               model_setting(config, "n_pi"))
+        init = _dd_init_params(spec, model.k_spins, tcfg.seed, records, model.omega_l)
         return trainer.train_from(tcfg, records, model, init)
     return trainer.train(tcfg, records, model, spec)
 

@@ -64,9 +64,6 @@ class RngStream:
     def integers(self, low, high=None, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size)
 
-    def choice(self, a, size=None, p=None, replace=True):
-        return self._gen.choice(a, size=size, p=p, replace=replace)
-
 
 def log_gaussian_density(y, mean, variance):
     """log N(y; mean, variance) = -0.5 ln(2π v) - (y-mean)^2 / (2v).

@@ -261,6 +261,19 @@ def test_select_rejects_corrupt_checkpoint(tmp_path, fitted_run):
     assert code == 2
 
 
+def test_select_rejects_checkpoint_of_wrong_length(tmp_path, capsys, fitted_run):
+    path, out = fitted_run
+    payload = json.loads((out / "checkpoint.json").read_text())
+    n = len(payload["params"])
+    payload["params"].append(0.0)
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(payload))
+    code = cli.main(["select", "--config", path, "--checkpoint", str(bad),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert f"has {n + 1} entries, expected {n}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,field", [("ground_truth.json", "spins"),
                                         ("checkpoint.json", "family")])
 def test_select_rejects_input_file_missing_a_field(tmp_path, capsys, fitted_run, name, field):

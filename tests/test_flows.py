@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,11 +90,9 @@ def test_mean_field_sample_moments():
 def test_full_affine_sample_covariance():
     spec = flows.AnsatzSpec(d=2, family="full-affine")
     params = flows.init_flow_parameters(spec, np.zeros(2), np.array([1.0, 0.5]))
-    vec = params.to_vector()
-    template = params.from_vector(vec)
-    template.l_raw[1, 0] = 0.7
-    params = template
+    params.l_entries[1] = 0.7          # L is stored row by row: (0, 0), (1, 0), (1, 1)
     low = params.l_matrix()
+    assert low[1, 0] == 0.7
     target = low @ low.T
     theta, _, _ = flows.sample_batch(params, 100000, RngStream(8))
     emp = np.cov(theta.T, bias=True)
@@ -198,6 +198,25 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path.write_text('{"magic": "NOPE", "params": []}')
     with pytest.raises(ValueError):
         flows.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_wrong_parameter_count(tmp_path):
+    path = tmp_path / "short.json"
+    flows.save_checkpoint(path, random_params(3, "full-affine", seed=102))
+    payload = json.loads(path.read_text())
+    payload["params"].pop()
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="has 8 entries, expected 9"):
+        flows.load_checkpoint(path)
+
+
+def test_from_vector_copies_its_argument():
+    params = random_params(2, "stacked", seed=103)
+    vec = params.to_vector()
+    copy = params.from_vector(vec)
+    vec[:] = 0.0
+    copy.to_vector()[:] = 0.0
+    assert np.array_equal(copy.to_vector(), params.to_vector())
 
 
 def test_dimension_mismatch_rejected():

@@ -1,6 +1,7 @@
-"""Every imported name is used, every library function, class and constant
-has a reader outside the tests, and every defaulted parameter is passed by some
-caller outside the tests, checked by parsing the sources, not running them."""
+"""Every imported name is used, every library function, class, constant and
+method has a reader outside the tests, and every defaulted parameter is passed
+by some caller outside the tests, checked by parsing the sources, not running
+them."""
 
 import ast
 from collections import Counter
@@ -20,6 +21,9 @@ SOURCES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py"), *DEMOS])
 # benchmark reads through getattr
 UNCALLED = {"GaussianLocationModel", "flow_inverse", "ansatz_log_density", "log_joint",
             "dd_single_spin_term", "surrogate_information_gain", "variance_floor_count"}
+# library methods no library code or demo calls, on purpose: the tests draw
+# integer data through the seeded stream
+UNCALLED_METHODS = {"RngStream.integers"}
 # defaulted parameters no library code, demo or benchmark passes, on purpose
 UNPASSED = {
     "surrogate_information_gain.prior": "adaptive measurement waits on ROADMAP item 5",
@@ -90,6 +94,31 @@ def test_library_names_have_a_non_test_caller():
     uncalled = {name for name, node in definitions
                 if reads[name] == Counter(_read_names(node))[name]}
     assert sorted(uncalled - UNCALLED) == []
+
+
+def _methods(tree):
+    """(Class.method, defining node) of each method of each class, dunders aside."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def test_library_methods_have_a_non_test_caller():
+    """The method-level twin of the check above; a method counts as called when
+    its name is read anywhere outside its own definition."""
+    reads, methods = Counter(), []
+    for source in [*LIBRARY, *DEMOS]:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        reads.update(_read_names(tree))
+        if source in LIBRARY:
+            methods += list(_methods(tree))
+    uncalled = {qualname for qualname, node in methods
+                if reads[node.name] == Counter(_read_names(node))[node.name]}
+    assert sorted(uncalled - UNCALLED_METHODS) == []
+    # an allowlisted method that gained a caller leaves the list
+    assert sorted(UNCALLED_METHODS - uncalled) == []
 
 
 def _functions(node, owner=None):
