@@ -17,12 +17,16 @@ row; and ``batch_loglik(data, theta, phi, grad_weights)`` with its gradients.
 Every cosine and sine over a full-size array comes from one ``tan`` pass
 (:func:`_half_angle`): float64 ``np.tan`` is vectorised where ``np.cos`` and
 ``np.sin`` may not be (about 2 against 20-30 ns per element with numpy 2.4 on
-an AVX-512 Xeon).  The batched kernels run in blocks of about
-``_BLOCK_ELEMS`` elements over one reused workspace (:func:`_row_blocks`),
-with the records on the last, contiguous axis: the toy blocks are laid out
-(rows, frequencies, records) and the DD blocks (rows, spins, records), so
-every full-size pass runs an inner loop over the M records, not a short one
-over the few frequencies or spins.
+an AVX-512 Xeon).  The kernels run in blocks of about ``_BLOCK_ELEMS``
+elements over one reused workspace (:func:`_row_blocks`), laid out so that
+every full-size pass runs an inner loop over a long contiguous axis, not a
+short one over the few frequencies or spins:
+
+- ``ToyModel.batch_loglik`` blocks are (rows, frequencies, records), and its
+  (rows, records) terms live in the workspace too;
+- ``ToyModel.record_loglik`` blocks are (frequencies, particles): one record
+  against many particles, so the particles are the long axis;
+- DD blocks are (rows, spins, records).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ VARIANCE_FLOOR = 1e-12
 # buffers stay in cache
 _BLOCK_ELEMS = 32768
 _KERNEL_BUFFERS = 12       # buffers _spin_term_core draws from a workspace
-_TOY_BUFFERS = 3           # buffers ToyModel.batch_loglik draws from a workspace
+_TOY_BUFFERS = 4           # buffers ToyModel.batch_loglik draws from a workspace
 
 _variance_floor_count = 0
 
@@ -120,15 +124,47 @@ def _half_angle(t, s, c):
 # ---------------------------------------------------------------------------
 
 
-def _toy_prob(half, work, axis=-1):
+def _sum_rows(x):
+    """The sum over the rows of a (k, b) array, added in place in ``x``.
+
+    The rows are added in the order numpy's pairwise summation adds a
+    contiguous axis of k values: a left fold below 8 rows, eight interleaved
+    partial sums combined as ((0+1)+(2+3))+((4+5)+(6+7)) and then the
+    leftover rows up to 128 rows, and above that two halves split at a
+    multiple of 8.  So each column sum equals ``np.sum`` over the same values
+    stored as a contiguous (b, k) array, summed along k, bit for bit, from
+    k - 1 row additions.  Returns a view of row 0.
+    """
+    k = x.shape[0]
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        total = _sum_rows(x[:half])
+        total += _sum_rows(x[half:])
+        return total
+    tail = 0 if k < 8 else k - k % 8
+    if tail:
+        for i in range(8, tail):
+            x[i % 8] += x[i]
+        for step in (1, 2, 4):
+            for i in range(0, 8, 2 * step):
+                x[i] += x[i + step]
+    for i in range(max(tail, 1), k):
+        x[0] += x[i]
+    return x[0]
+
+
+def _toy_prob(half, work, axis=-1, out=None):
     """p = 1/2 + (1/2n) sum_i cos(omega_i tau) and the sines sin(omega_i tau).
 
     ``half`` holds the half phases omega_i tau / 2 along its frequency axis
     ``axis`` and becomes the sines; ``work`` supplies two more buffers of its
-    shape.
+    shape, and ``out``, if given, receives p.
     """
     sin, _, cos = _half_angle(half, *work)
-    return 0.5 + cos.sum(axis=axis) / (2.0 * half.shape[axis]), sin
+    p = cos.sum(axis=axis, out=out)
+    p /= 2.0 * half.shape[axis]
+    p += 0.5
+    return p, sin
 
 
 def toy_outcome_prob(tau, omega):
@@ -152,12 +188,13 @@ class _ToyData:
 class ToyModel:
     """Ramsey probe dephasing under n unknown frequencies, binomial outcomes.
 
-    Both likelihoods take cosines and sines from the half-angle ``tan`` pass
-    of :func:`_toy_prob`.  ``batch_loglik`` runs in the row blocks of
-    :func:`_row_blocks`, its arrays laid out (rows, frequencies, records) so
-    that no full-size pass runs an inner loop only n elements long: the
-    phases, the cosine sum and the sine scaling run over contiguous records,
-    and the omega-gradient is one matmul over them.
+    Both likelihoods take their cosines (and ``batch_loglik`` its sines) from
+    the half-angle ``tan`` pass of :func:`_half_angle` and run in the blocks
+    of :func:`_row_blocks`, laid out so that no full-size pass runs an inner
+    loop only n elements long.  ``batch_loglik`` is (rows, frequencies,
+    records): the phases, the cosine sum and the sine scaling run over
+    contiguous records, and the omega-gradient is one matmul over them.
+    ``record_loglik`` is (frequencies, particles).
     """
 
     n_nuisance = 0
@@ -200,15 +237,29 @@ class ToyModel:
         half_tau = 0.5 * data.tau
         dp_dsin = data.tau / (-2.0 * self.n)             # dp/domega_i = -tau sin_i / (2n)
         failures = data.reps - data.counts
+        m = data.tau.size
         ll = np.empty(n_rows)
         grad = np.empty((n_rows, n_freq))
-        for rows, _, work in _row_blocks(n_rows, n_freq, data.tau.size, _TOY_BUFFERS):
+        for rows, _, work in _row_blocks(n_rows, n_freq, m, _TOY_BUFFERS):
             half = np.multiply(omega[rows, :, None], half_tau, out=work[0])    # (b, n, M)
-            p, sin = _toy_prob(half, work[1:], axis=1)
-            np.clip(p, 1e-12, 1.0 - 1e-12, out=p)                            # (b, M)
-            ll[rows] = (data.log_binom + data.counts * np.log(p)
-                        + failures * np.log1p(-p)).sum(axis=1)
-            dll_dp = data.counts / p - failures / (1.0 - p)
+            # the (b, M) terms take the head of a (b, n, M) buffer each: p the
+            # spare one, the others those of cos x and 1 - cos x, which are
+            # free once the cosines are summed into p
+            p, terms, dll_dp = (buf.reshape(-1)[:half.shape[0] * m].reshape(-1, m)
+                                for buf in (work[3], work[2], work[1]))
+            p, sin = _toy_prob(half, work[1:3], axis=1, out=p)
+            np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
+            np.log(p, out=terms)
+            terms *= data.counts
+            terms += data.log_binom
+            np.log1p(np.negative(p, out=dll_dp), out=dll_dp)
+            dll_dp *= failures
+            terms += dll_dp
+            ll[rows] = terms.sum(axis=1)
+            np.divide(data.counts, p, out=terms)
+            np.subtract(1.0, p, out=dll_dp)
+            np.divide(failures, dll_dp, out=dll_dp)
+            np.subtract(terms, dll_dp, out=dll_dp)                        # dll/dp
             if grad_weights is not None:
                 dll_dp *= grad_weights
             dp_dw = np.multiply(sin, dp_dsin, out=sin)                       # (b, n, M)
@@ -221,12 +272,33 @@ class ToyModel:
         It omits log C(R, c), constant in omega, which cancels in the particle
         weight normalisation and in the surrogate information gain's variance
         over theta.  ``benchmarks/reference.py`` pins these values.
+
+        The particles run in blocks laid out (frequencies, particles), so the
+        cosine sum adds n contiguous rows instead of running a sum n elements
+        long per particle.  :func:`_sum_rows` adds the rows in the order
+        ``np.sum`` adds a particle's row-major frequencies, on purpose: each
+        value equals ``0.5 + cos.sum(axis=-1) / (2n)`` over (particles,
+        frequencies) bit for bit, and the particle filter's weights, and so
+        its results, move with the last bit of this sum.
         """
-        half = np.atleast_2d(omega) * (0.5 * record.tau_us)
+        omega = np.atleast_2d(omega)
+        n_rows, n_freq = omega.shape
         c = round(record.y * record.repetitions)
-        p, _ = _toy_prob(half, np.empty((2, *half.shape)))
-        p = np.clip(p, 1e-300, 1.0 - 1e-16)
-        return c * np.log(p) + (record.repetitions - c) * np.log1p(-p)
+        ll = np.empty(n_rows)
+        for rows, _, work in _row_blocks(n_rows, n_freq, 1, 3):
+            half, s, cos = work.reshape(3, n_freq, -1)                  # (n, b)
+            np.multiply(omega[rows].T, 0.5 * record.tau_us, out=half)
+            _half_angle(half, s, cos)
+            p = _sum_rows(cos)
+            p /= 2.0 * n_freq
+            p += 0.5
+            np.clip(p, 1e-300, 1.0 - 1e-16, out=p)
+            log_q = np.log1p(np.negative(p, out=s[0]), out=s[0])
+            log_q *= record.repetitions - c
+            np.log(p, out=p)
+            p *= c
+            np.add(p, log_q, out=ll[rows])
+        return ll
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,9 @@ class RngStream:
         self._gen = np.random.Generator(_philox(self.seed, self._offset))
         return children
 
-    def standard_normal(self, shape=None) -> np.ndarray:
-        return self._gen.standard_normal(shape)
+    def standard_normal(self, shape=None, out=None) -> np.ndarray:
+        """Draws of ``shape``, or filling ``out``, the same draws either way."""
+        return self._gen.standard_normal(shape, out=out)
 
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)

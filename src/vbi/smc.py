@@ -3,7 +3,8 @@
 The particle filter keeps N_p weighted hypotheses, reweights them record by
 record through Bayes' rule, and fights weight degeneracy with systematic
 resampling plus a Liu-West shrinkage move (a = 0.98) whenever the effective
-sample size drops below N_p / 2.
+sample size drops below N_p / 2.  An update allocates one new particle
+array per resample and never writes into the ensemble it is given.
 """
 
 from __future__ import annotations
@@ -56,16 +57,22 @@ def _systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
 def pf_update(ens: ParticleEnsemble, record, model) -> ParticleEnsemble:
     """One Bayes update; resamples with Liu-West moves when ESS < N_p / 2.
 
-    Returns a new ensemble; the RNG it carries is shared with (and advanced
-    for) the parent, so updates must stay single-threaded per ensemble.
+    Returns a new ensemble and never writes into ``ens``: a reweight keeps
+    its ``particles`` array, and a resample allocates one new particle array
+    and moves the resampled particles in place in it.  The temporaries of
+    the move are reused for the jitter draws and their scaling.  The RNG the
+    new ensemble carries is shared with (and advanced for) the parent, so
+    updates must stay single-threaded per ensemble.
     """
-    log_w = np.log(ens.weights + 1e-300) + model.record_loglik(record, ens.particles)
+    log_w = np.log(ens.weights + 1e-300)
+    log_w += model.record_loglik(record, ens.particles)
     top = np.max(log_w)
     if not np.isfinite(top):
         # all weights underflowed: reset to uniform and flag it
         weights = np.full(ens.n_particles, 1.0 / ens.n_particles)
         return replace(ens, weights=weights, degenerate_resets=ens.degenerate_resets + 1)
-    w = np.exp(log_w - top)
+    log_w -= top
+    w = np.exp(log_w, out=log_w)
     w /= w.sum()
 
     reweighted = replace(ens, weights=w)
@@ -74,14 +81,18 @@ def pf_update(ens: ParticleEnsemble, record, model) -> ParticleEnsemble:
 
     mean = w @ ens.particles
     centered = ens.particles - mean
-    cov = (centered * w[:, None]).T @ centered
+    weighted = centered * w[:, None]
+    cov = weighted.T @ centered
     idx = _systematic_resample(w, ens.rng)
-    shrunk = LIU_WEST_A * ens.particles[idx] + (1.0 - LIU_WEST_A) * mean
+    moved = np.take(ens.particles, idx, axis=0)
+    moved *= LIU_WEST_A
+    moved += (1.0 - LIU_WEST_A) * mean                     # shrunk toward the mean
     h2 = 1.0 - LIU_WEST_A ** 2
     d = ens.particles.shape[1]
     factor = np.linalg.cholesky(h2 * cov + 1e-30 * np.eye(d))
-    jitter = ens.rng.standard_normal((ens.n_particles, d)) @ factor.T
-    return replace(ens, particles=shrunk + jitter,
+    z = ens.rng.standard_normal(out=centered)
+    moved += np.matmul(z, factor.T, out=weighted)          # jitter ~ N(0, h2 cov)
+    return replace(ens, particles=moved,
                    weights=np.full(ens.n_particles, 1.0 / ens.n_particles))
 
 def pf_run(ens: ParticleEnsemble, records, model) -> ParticleEnsemble:

@@ -81,6 +81,36 @@ def test_toy_batch_loglik_equals_summed_record_logliks(n):
     assert np.allclose(ll, expected, rtol=1e-12, atol=0.0)
 
 
+def test_sum_rows_adds_in_numpy_row_major_order():
+    # the order np.sum adds a contiguous axis: left fold, 8 partial sums, halves
+    rng = np.random.default_rng(3)
+    for k in [*range(1, 41), 127, 128, 129, 300]:
+        x = rng.choice([-1.0, 1.0], (k, 257)) * 10.0 ** rng.uniform(-8.0, 8.0, (k, 257))
+        expected = np.ascontiguousarray(x.T).sum(axis=-1)
+        assert np.array_equal(lk._sum_rows(x), expected), k
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_toy_batch_loglik_equals_fresh_array_expressions(n, weighted):
+    # the workspace kernel runs the operations of these expressions, in order
+    model, records, rng = _toy_data(n)
+    data = model.prepare(records)
+    omega = rng.uniform(0.0, 1.0, (70, n))
+    weights = rng.uniform(0.0, 2.0, len(records)) if weighted else None
+    half = omega[:, :, None] * (0.5 * data.tau)
+    sin, _, cos = lk._half_angle(half, np.empty_like(half), np.empty_like(half))
+    p = np.clip(0.5 + cos.sum(axis=1) / (2.0 * n), 1e-12, 1.0 - 1e-12)
+    failures = data.reps - data.counts
+    ll = (data.log_binom + data.counts * np.log(p) + failures * np.log1p(-p)).sum(axis=1)
+    dll_dp = data.counts / p - failures / (1.0 - p)
+    if weighted:
+        dll_dp *= weights
+    grad = np.matmul(sin * (data.tau / (-2.0 * n)), dll_dp[:, :, None])[:, :, 0]
+    got_ll, got_grad, _ = model.batch_loglik(data, omega, grad_weights=weights)
+    assert np.array_equal(got_ll, ll) and np.array_equal(got_grad, grad)
+
+
 def test_toy_record_loglik_rows_equal_single_particle_calls():
     model, records, rng = _toy_data(4, m=8)
     particles = rng.uniform(0.0, 1.0, (300, 4))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vbi import smc
+from vbi import likelihoods, smc
 from vbi.likelihoods import GaussianLocationModel, MeasurementRecord, ToyModel
 from vbi.probcore import RngStream
 from vbi.simulator import sample_records
@@ -128,6 +128,80 @@ def test_liu_west_jitter_equals_numpy_cholesky_draws(d):
     jitter = twin._gen.multivariate_normal(np.zeros(d), h2 * cov + 1e-30 * np.eye(d), size=n,
                                            method="cholesky")
     assert np.array_equal(out.particles, shrunk + jitter)
+
+
+def _row_major_record_loglik(record, omega):
+    """ToyModel.record_loglik as (particles, frequencies) arrays summed by np.sum."""
+    half = omega * (0.5 * record.tau_us)
+    _, _, cos = likelihoods._half_angle(half, np.empty_like(half), np.empty_like(half))
+    p = np.clip(0.5 + np.sum(cos, axis=-1) / (2.0 * omega.shape[1]), 1e-300, 1.0 - 1e-16)
+    c = round(record.y * record.repetitions)
+    return c * np.log(p) + (record.repetitions - c) * np.log1p(-p)
+
+
+def _reference_pf_run(particles, weights, rng, records):
+    """The Liu-West filter on fresh arrays with searchsorted resampling;
+    returns the final particles and weights and the number of resamples."""
+    n, d = particles.shape
+    resamples = 0
+    for record in sorted(records, key=lambda r: r.tau_us):
+        log_w = np.log(weights + 1e-300) + _row_major_record_loglik(record, particles)
+        weights = np.exp(log_w - np.max(log_w))
+        weights /= weights.sum()
+        if 1.0 / float(np.sum(weights ** 2)) >= n / 2.0:
+            continue
+        resamples += 1
+        mean = weights @ particles
+        centered = particles - mean
+        cov = (centered * weights[:, None]).T @ centered
+        positions = (rng.uniform() + np.arange(n)) / n
+        idx = np.minimum(np.searchsorted(np.cumsum(weights), positions), n - 1)
+        shrunk = smc.LIU_WEST_A * particles[idx] + (1.0 - smc.LIU_WEST_A) * mean
+        factor = np.linalg.cholesky((1.0 - smc.LIU_WEST_A ** 2) * cov + 1e-30 * np.eye(d))
+        particles = shrunk + rng.standard_normal((n, d)) @ factor.T
+        weights = np.full(n, 1.0 / n)
+    return particles, weights, resamples
+
+
+@pytest.mark.parametrize("n", [2, 8, 12])
+def test_pf_run_is_bit_identical_to_the_fresh_array_filter(n):
+    model = ToyModel(n)
+    rng = RngStream(40 + n)
+    truth = np.sort(rng.uniform(0.0, 1.0, n))
+    records = sample_records(model, rng, 10.0 ** rng.uniform(-1, 2, 40), 1, truth, None, 256)
+    ens = smc.pf_run(smc.pf_init(np.zeros(n), np.ones(n), 1024, RngStream(60 + n)),
+                     records, model)
+    twin = RngStream(60 + n)
+    start = twin.uniform(np.zeros(n), np.ones(n), size=(1024, n))    # the draws of pf_init
+    particles, weights, resamples = _reference_pf_run(start, np.full(1024, 1.0 / 1024), twin,
+                                                      records)
+    assert resamples >= 5
+    assert np.array_equal(ens.particles, particles) and np.array_equal(ens.weights, weights)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 12, 16, 17, 130])
+def test_toy_record_loglik_is_bit_identical_to_the_row_major_sum(n):
+    model = ToyModel(n)
+    rng = RngStream(70 + n)
+    particles = rng.uniform(0.0, 1.0, (5000, n))    # several blocks at n >= 7
+    for tau, y in ((0.3, 0.25), (7.0, 0.5), (95.0, 0.875)):
+        record = MeasurementRecord(tau, 1, 256, y)
+        assert np.array_equal(model.record_loglik(record, particles),
+                              _row_major_record_loglik(record, particles))
+
+
+@pytest.mark.parametrize("repetitions", [1, 1000])
+def test_pf_update_never_writes_into_its_input(repetitions):
+    # one repetition only reweights; a thousand force a resample
+    ens = smc.pf_init(np.zeros(3), np.ones(3), 512, RngStream(21))
+    ens.weights = RngStream(22).uniform(0.5, 1.5, 512)
+    ens.weights /= ens.weights.sum()
+    particles, weights = ens.particles.copy(), ens.weights.copy()
+    out = smc.pf_update(ens, MeasurementRecord(5.0, 1, repetitions, 0.5), ToyModel(3))
+    assert np.array_equal(ens.particles, particles) and np.array_equal(ens.weights, weights)
+    assert out.weights is not ens.weights
+    # benchmarks/layers.py counts resamples by this identity
+    assert (out.particles is not ens.particles) == (repetitions > 1)
 
 
 def test_pf_underflow_resets_to_uniform():
