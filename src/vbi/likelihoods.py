@@ -550,7 +550,6 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
 class _DDData:
     rec: _DDRecords      # record constants shaped (1, 1, M) against (B, K, 1) couplings
     y: np.ndarray        # (M,)
-    reps: np.ndarray
     seq_time: np.ndarray  # (M,) N_pi * tau
 
 
@@ -588,7 +587,6 @@ class DDModel:
         return _DDData(
             rec=_dd_records(tau[None, None, :], n_pi[None, None, :], self.omega_l),
             y=np.array([r.y for r in records]),
-            reps=np.array([r.repetitions for r in records], dtype=float),
             seq_time=n_pi * tau,
         )
 

@@ -7,9 +7,10 @@ with the offending path, so neither a typo nor a key without effect passes
 silently.  A key a config leaves out takes the default of the library object
 it sets (``ScenarioConfig``, ``TrainConfig``, ...).  :func:`fit_dataset` is
 the config-driven fit: it builds the model, the training settings and the
-initial ansatz from a config and trains the posterior on a dataset.  Spin-identification fits start at the greedy comb
-fit of the data (:func:`greedy_comb_init`).  :func:`select_spins` is its
-counterpart: it turns a fitted posterior into a spin count and clusters.
+initial ansatz from a config and trains the posterior on a dataset.  A
+spin-identification fit starts at the greedy comb fit of the data under the
+fit's own model and nuisances (:func:`greedy_comb_init`).  :func:`select_spins`
+is its counterpart: it turns a fitted posterior into a spin count and clusters.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import flows, likelihoods, selection, simulator, smc, trainer
+from . import flows, selection, simulator, smc, trainer
 from .likelihoods import DDModel, NuisanceParams, ToyModel
 from .probcore import RngStream
 from .simulator import (MODEL_DD, MODEL_TOY, ScenarioConfig, omega_larmor,
@@ -37,8 +38,6 @@ _SCENARIO_KEYS = ("m_points", "repetitions", "n_pi", "B_gauss", "T2_inv", "eta0"
 _BATH_KEYS = ("az_range", "aperp_range", "min_delta_az")
 
 # Greedy comb init (greedy_comb_init and matched_filter_az_scores)
-GREEDY_T2_INV = 1e-4             # nominal decoherence rate of the candidate signals
-GREEDY_ETA0 = 1e-2               # nominal readout noise in the shot-noise floor
 GREEDY_REL_FLOOR = 0.02          # least relative error cut that admits another spin
 AZ_SCAN = (-0.32, 0.32)          # A_z window of the matched-filter scan
 AZ_SCAN_POINTS = 600
@@ -154,6 +153,9 @@ def load_config(path) -> dict:
         for key in generated:
             if explicit in model and key in model:
                 raise ConfigError(f"model.{key} has no effect beside model.{explicit}")
+    if {"truth_count", "truth_spins", "ansatz_spins"} <= model.keys():
+        raise ConfigError("model.truth_count has no effect beside model.truth_spins "
+                          "and model.ansatz_spins")
     ansatz = config.get("ansatz", {})
     for key in ("n_layers", "hidden_width"):
         if key in ansatz and ansatz.get("family") != flows.STACKED:
@@ -232,12 +234,13 @@ def selection_settings(config: dict) -> dict:
             **config.get("selection", {})}
 
 
-def _train_config(config: dict, seed: int, kind: str) -> trainer.TrainConfig:
+def _train_config(config: dict, records, seed: int) -> trainer.TrainConfig:
     """TrainConfig and RegularizerSpec defaults are the config defaults, except
     that a spin-identification fit defaults to a trainable l2 prior factor and a
-    toy fit to a larger learning rate."""
+    toy fit to a larger learning rate.  chi starts at 1 / the mean repetitions
+    of ``records``, the shot-noise scale the data carry."""
     tc, rc = config.get("train", {}), config.get("regularizer", {})
-    if kind == MODEL_DD:
+    if config["model"]["kind"] == MODEL_DD:
         rc = {"kind": "l2", "trainable": True, **rc}
     else:
         tc = {"lr_start": 1e-2, "lr_end": 1e-3, **tc}
@@ -245,7 +248,7 @@ def _train_config(config: dict, seed: int, kind: str) -> trainer.TrainConfig:
         **{**tc, "seed": seed}, prior=build_prior(config),
         regularizer=trainer.RegularizerSpec(**rc),
         phi0=NuisanceParams(t2_inv=model_setting(config, "T2_inv"),
-                            chi=1.0 / model_setting(config, "repetitions"),
+                            chi=1.0 / float(np.mean([r.repetitions for r in records])),
                             eta=model_setting(config, "eta0")),
     )
 
@@ -274,8 +277,12 @@ def matched_filter_az_scores(records, omega_l):
     return az_grid, scores
 
 
-def greedy_comb_init(records, omega_l, k_max):
+def greedy_comb_init(records, model: DDModel, phi: NuisanceParams, k_max):
     """Forward-select spins that actually improve the fit of the signal.
+
+    Spin sets are scored under ``model.outcome_prob`` at the nuisances ``phi``
+    the fit starts from, at each record's own N_pi; ``phi.eta`` is the readout
+    noise in the shot-noise floor.
 
     Candidates are the strongest resonance-comb scores; each round adds the
     (A_z, A_perp) pair with the largest squared-error reduction, A_z chosen
@@ -284,14 +291,13 @@ def greedy_comb_init(records, omega_l, k_max):
     ``GREEDY_REL_FLOOR`` or the residual has reached the shot-noise floor, so noise
     wiggles never spawn spins.  Harmonic ghosts never survive: once the parent
     spin is in the active set, the ghost's dips are already explained.
-    Spin sets are scored at each record's own N_pi.
     """
     taus = np.array([r.tau_us for r in records])
     n_pi = np.array([r.n_pi for r in records])
     ys = np.array([r.y for r in records])
     reps = np.array([r.repetitions for r in records], dtype=float)
-    phi = NuisanceParams(t2_inv=GREEDY_T2_INV)
-    noise_sse = float(np.sum(np.clip(ys * (1 - ys), 0.0, 0.25) / reps + GREEDY_ETA0 ** 2))
+    noise_sse = float(np.sum(np.clip(ys * (1 - ys), 0.0, 0.25) / reps + phi.eta ** 2))
+    omega_l = model.omega_l
     az_grid, scores = matched_filter_az_scores(records, omega_l)
     candidates = []
     for i in np.argsort(scores)[::-1]:
@@ -305,7 +311,7 @@ def greedy_comb_init(records, omega_l, k_max):
     def sse(spin_sets):
         """Squared error of the signal under each of equal-size spin sets, in one call."""
         stack = np.array(spin_sets, dtype=float).reshape(len(spin_sets), -1)
-        p1 = 1.0 - likelihoods.dd_outcome_prob(taus, n_pi, stack, phi, omega_l)
+        p1 = model.outcome_prob(taus, n_pi, stack, phi)
         return np.sum((ys - p1) ** 2, axis=1)
 
     def comb_az(spin):
@@ -378,19 +384,19 @@ def greedy_comb_init(records, omega_l, k_max):
     return active
 
 
-def _dd_init_params(spec: flows.AnsatzSpec, k_spins: int, seed: int, records,
-                    omega_l: float) -> flows.FlowParameters:
-    """Initial ansatz for a spin-identification fit.
+def _dd_init_params(spec: flows.AnsatzSpec, model: DDModel, phi: NuisanceParams, seed: int,
+                    records) -> flows.FlowParameters:
+    """Initial ansatz for a spin-identification fit of ``model`` from ``phi``.
 
     Warm-starts at the greedy comb fit of the data, leaving surplus spins
     deep inside the blind zone so the thresholding step prunes them unless
     the data pulls them up.
     """
     rng = RngStream(seed)
-    k = k_spins
+    k = model.k_spins
     mu = np.empty(2 * k)
     scale = np.empty(2 * k)
-    spins = greedy_comb_init(records, omega_l, k)
+    spins = greedy_comb_init(records, model, phi, k)
     for j in range(k):
         if j < len(spins):
             # start sharp: a wide initial spread smears the predicted dips
@@ -412,12 +418,11 @@ def fit_dataset(config: dict, records, seed: int):
 
     Returns (FlowParameters, NuisanceParams, TrainTrace), as ``trainer.train``.
     """
-    kind = config["model"]["kind"]
     model = build_model(config)
-    tcfg = _train_config(config, seed, kind)
+    tcfg = _train_config(config, records, seed)
     spec = flows.AnsatzSpec(d=model.dim, **config.get("ansatz", {}))
-    if kind == MODEL_DD:
-        init = _dd_init_params(spec, model.k_spins, tcfg.seed, records, model.omega_l)
+    if config["model"]["kind"] == MODEL_DD:
+        init = _dd_init_params(spec, model, tcfg.phi0, tcfg.seed, records)
         return trainer.train_from(tcfg, records, model, init)
     return trainer.train(tcfg, records, model, spec)
 
@@ -479,15 +484,16 @@ def bench_pf_rows(config: dict):
             run_cfg = {**config, "model": {**config["model"], "n_frequencies": n,
                                            "truth_frequencies": truth.tolist()}}
             records = simulator.simulate_dataset(scenario(run_cfg, seed))
+            prior = build_prior(run_cfg)
 
-            ens = smc.pf_init(np.zeros(n), np.ones(n), bc.get("n_particles", 16384),
+            ens = smc.pf_init(prior.low, prior.high, bc.get("n_particles", 16384),
                               RngStream(seed + 7))
             ens = smc.pf_run(ens, records, build_model(run_cfg))
             rows.append((n, "PF", seed, smc.sorted_square_error(smc.pf_estimate(ens), truth)))
 
             params, _, _ = fit_dataset(run_cfg, records, seed)
             draws, _, _ = flows.sample_batch(params, 2048, RngStream(seed + 13))
-            estimate = build_prior(run_cfg).transform(draws).mean(axis=0)
+            estimate = prior.transform(draws).mean(axis=0)
             rows.append((n, "VBI", seed, smc.sorted_square_error(estimate, truth)))
 
             rows.append((n, "baseline", seed, baseline))

@@ -140,14 +140,15 @@ class PriorSpec:
         return np.zeros(theta2d.shape[0]), np.zeros_like(theta2d)
 
     def init_box(self, d: int):
-        """Default initialization box for the flow location parameters."""
+        """Default initialization box for the flow location parameters;
+        (-1, 1) in every coordinate for the improper prior."""
         if self.kind == "box":
             return np.broadcast_to(self.low, (d,)), np.broadcast_to(self.high, (d,))
         if self.kind == "gaussian":
             m = np.broadcast_to(self.mean, (d,)).astype(float)
             s = np.sqrt(np.broadcast_to(self.var, (d,)).astype(float))
             return m - 2 * s, m + 2 * s
-        return None
+        return -np.ones(d), np.ones(d)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +206,8 @@ def estimate_elbo(params: flows.FlowParameters, data, model, prior: PriorSpec,
     dtheta_raw = (dll_dtheta + dpi_dtheta + dr_dtheta) * squash_grad / batch
     dlogq = -np.ones(batch) / batch
     grad_flow = flows.backward_batch(cache, dtheta_raw, dlogq, params)
-    grad_phi = dll_dphi.mean(axis=0) if model.n_nuisance else np.zeros(0)
-    return ElboEstimate(value=value, grad_flow=grad_flow, grad_phi=grad_phi, sigma=sigma)
+    return ElboEstimate(value=value, grad_flow=grad_flow, grad_phi=dll_dphi.mean(axis=0),
+                        sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +269,8 @@ def _phi_to_raw(phi: NuisanceParams) -> np.ndarray:
 
 
 def _raw_to_phi(raw: np.ndarray) -> NuisanceParams:
-    vals = softplus(raw)
-    return NuisanceParams(t2_inv=float(vals[0]), chi=float(vals[1]), eta=float(vals[2]))
+    """The nuisances stored in ``raw``: its leading fields, the rest at zero."""
+    return NuisanceParams(*softplus(raw).tolist())
 
 
 def default_init(spec: flows.AnsatzSpec, low, high, rng: RngStream) -> flows.FlowParameters:
@@ -296,10 +297,7 @@ def train(config: TrainConfig, dataset, model, ansatz_spec: flows.AnsatzSpec):
     """
     rng = RngStream(config.seed)
     init_rng, _ = rng.split(2)
-    box = config.prior.init_box(ansatz_spec.d)
-    if box is None:
-        box = (-np.ones(ansatz_spec.d), np.ones(ansatz_spec.d))
-    params = default_init(ansatz_spec, box[0], box[1], init_rng)
+    params = default_init(ansatz_spec, *config.prior.init_box(ansatz_spec.d), init_rng)
     return train_from(config, dataset, model, params)
 
 
@@ -357,8 +355,10 @@ def _record_schedule(dataset, steps: int):
 def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParameters):
     """Training loop starting from explicit initial flow parameters.
 
-    The reported ``trace.elbo`` is always the ELBO of the whole dataset; the
-    likelihood schedule only weights the records' gradients.
+    The model's ``n_nuisance`` leading nuisances start at ``config.phi0`` and
+    train; the rest stay zero.  The reported ``trace.elbo`` is always the ELBO
+    of the whole dataset; the likelihood schedule only weights the records'
+    gradients.
     """
     rng = RngStream(config.seed)
     _, step_rng = rng.split(2)
@@ -367,9 +367,8 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
     data = model.prepare(dataset)
     schedule = _record_schedule(dataset, config.steps)
     n_flow, d = params.n_parameters, params.d
-    train_phi = model.n_nuisance > 0
 
-    phi_raw = _phi_to_raw(config.phi0) if train_phi else np.zeros(0)
+    phi_raw = _phi_to_raw(config.phi0)[:model.n_nuisance]
     x = np.concatenate([params.to_vector(), phi_raw])
     softplus_stored = np.concatenate([params.scale_mask(), np.ones(phi_raw.size, dtype=bool)])
 
@@ -381,15 +380,11 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
 
     for i in range(1, config.steps + 1):
         params = params.from_vector(x[:n_flow])
-        phi = _raw_to_phi(x[n_flow:]) if train_phi else None
+        phi = _raw_to_phi(x[n_flow:])
         est = estimate_elbo(params, data, model, config.prior, config.regularizer,
                             config.batch, step_rng, phi=phi, record_weights=schedule(i - 1))
-
-        grad = np.empty_like(x)
-        grad[:n_flow] = est.grad_flow
-        if train_phi:
-            # chain through softplus to the unconstrained nuisance storage
-            grad[n_flow:] = est.grad_phi * _logistic(x[n_flow:])
+        # the nuisance gradient chains through softplus to their raw storage
+        grad = np.concatenate([est.grad_flow, est.grad_phi * _logistic(x[n_flow:])])
 
         lr = config.learning_rate(i)
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
@@ -404,21 +399,16 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
 
         trace.elbo[i - 1] = est.value
         trace.lr[i - 1] = lr
-        trace.phi[i - 1] = phi.as_array() if train_phi else 0.0
+        trace.phi[i - 1] = phi.as_array()
         trace.reg_sigma[i - 1] = est.sigma
         if i >= DIVERGENCE_WINDOW:
             smoothed = float(trace.elbo[i - DIVERGENCE_WINDOW:i].mean())
             best_smoothed = max(best_smoothed, smoothed)
             if smoothed < best_smoothed - DIVERGENCE_DROP:
-                trace.elbo = trace.elbo[:i]
-                trace.lr = trace.lr[:i]
-                trace.phi = trace.phi[:i]
-                trace.reg_sigma = trace.reg_sigma[:i]
-                raise TrainingDiverged(i, smoothed, trace)
+                raise TrainingDiverged(i, smoothed, TrainTrace(
+                    trace.elbo[:i], trace.lr[:i], trace.phi[:i], trace.reg_sigma[:i]))
 
-    params = params.from_vector(x[:n_flow])
-    phi = _raw_to_phi(x[n_flow:]) if train_phi else NuisanceParams()
-    return params, phi, trace
+    return params.from_vector(x[:n_flow]), _raw_to_phi(x[n_flow:]), trace
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,18 @@ def test_explicit_truth_excludes_generated_truth_keys(tmp_path, capsys, kind, ex
     assert f"model.{key}" in err and f"model.{explicit}" in err
 
 
+def test_truth_count_beside_explicit_truth_and_ansatz_spins_rejected(tmp_path, capsys):
+    config = dd_config(truth_spins=[[0.1, 0.2]])
+    config["model"].pop("truth_seed")
+    path = write_config(tmp_path, config)
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "model.truth_count" in capsys.readouterr().err
+    del config["model"]["ansatz_spins"]     # then it sets the ansatz size
+    path = write_config(tmp_path, config)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_missing_b_gauss_names_field(tmp_path, capsys):
     path = write_config(tmp_path, {"model": {"kind": "dd"}})
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])

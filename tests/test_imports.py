@@ -61,6 +61,19 @@ def test_library_never_calls_hasattr():
     assert calls == []
 
 
+def test_library_reaches_outcome_probabilities_through_the_model():
+    """Outside ``likelihoods`` a model's probabilities come from its ``outcome_prob``,
+    so every caller scores with the model's own settings."""
+    kernels = {"dd_outcome_prob", "toy_outcome_prob"}
+    reads = [f"{source.name}:{node.lineno}"
+             for source in (ROOT / "src" / "vbi").glob("*.py")
+             if source.name not in ("likelihoods.py", "__init__.py")
+             for node in ast.walk(ast.parse(source.read_text(), filename=str(source)))
+             if (getattr(node, "id", None) in kernels or getattr(node, "attr", None) in kernels
+                 or isinstance(node, ast.alias) and node.name in kernels)]
+    assert reads == []
+
+
 def _read_names(node):
     """Names read under ``node``, as a bare name or as an attribute."""
     for sub in ast.walk(node):

@@ -1,26 +1,45 @@
 import numpy as np
+import pytest
 
-from vbi.pipeline import greedy_comb_init
+from vbi.likelihoods import DDModel, NuisanceParams
+from vbi.pipeline import fit_dataset, greedy_comb_init
 from vbi.simulator import MODEL_DD, ScenarioConfig, simulate_dataset
 
 TRUTH = np.array([(-0.15, 0.30), (0.02, 0.25), (0.17, 0.40)])
 
 
-def assert_greedy_finds_three_spins(n_pi):
+def assert_greedy_finds_three_spins(az_tol=1e-3, **scenario_keys):
+    """The start, scored with the simulating scenario's T2^-1 and readout
+    noise, finds the three truth spins."""
     scenario = ScenarioConfig(kind=MODEL_DD, theta_true=TRUTH.ravel(), m_points=256, seed=5,
-                              n_pi=n_pi)
+                              **scenario_keys)
     records = simulate_dataset(scenario)
-    spins = np.array(sorted(greedy_comb_init(records, scenario.omega_l, 5)))
+    phi = NuisanceParams(t2_inv=scenario.t2_inv, eta=scenario.eta0)
+    spins = np.array(sorted(greedy_comb_init(records, DDModel(5, scenario.omega_l), phi, 5)))
     assert spins.shape == TRUTH.shape
-    assert np.all(np.abs(spins[:, 0] - TRUTH[:, 0]) <= 1e-3)
+    assert np.all(np.abs(spins[:, 0] - TRUTH[:, 0]) <= az_tol)
     assert np.all(np.abs(spins[:, 1] - TRUTH[:, 1]) <= 0.02)
 
 
 def test_greedy_comb_init_finds_three_spins():
-    assert_greedy_finds_three_spins(32)
+    assert_greedy_finds_three_spins(n_pi=32)
 
 
 def test_greedy_comb_init_scores_at_the_records_n_pi():
     # scored at the ScenarioConfig default N_pi of 32 instead, the start is off
     # by kHz and finds a spurious fourth spin
-    assert_greedy_finds_three_spins(24)
+    assert_greedy_finds_three_spins(n_pi=24)
+
+
+def test_greedy_comb_init_scores_with_the_fits_t2_inv():
+    # scored at T2^-1 = 1e-4 instead, the start fills two more slots
+    assert_greedy_finds_three_spins(az_tol=2e-3, t2_inv=2e-3)
+
+
+def test_fit_dataset_starts_chi_at_the_records_repetitions():
+    scenario = ScenarioConfig(kind=MODEL_DD, theta_true=TRUTH.ravel(), m_points=48,
+                              repetitions=128, seed=5)
+    config = {"model": {"kind": "dd", "B_gauss": scenario.b_gauss, "ansatz_spins": 3},
+              "train": {"batch": 8, "steps": 2}}
+    _, _, trace = fit_dataset(config, simulate_dataset(scenario), seed=0)
+    assert trace.phi[0, 1] == pytest.approx(1.0 / 128, rel=1e-12)

@@ -195,6 +195,18 @@ def test_train_is_bit_deterministic():
     assert np.array_equal(a.to_vector(), b.to_vector())
 
 
+def test_toy_train_keeps_the_nuisances_at_zero():
+    model = ToyModel(n=2)
+    records = sample_records(model, RngStream(4), [0.5, 1.0, 2.0, 4.0], 1, np.array([0.3, 0.7]),
+                             None, 64)
+    config = TrainConfig(batch=8, steps=5, prior=PriorSpec(kind="box", low=np.zeros(2),
+                                                           high=np.ones(2)),
+                         phi0=NuisanceParams(t2_inv=1e-4, chi=1.0 / 64, eta=1e-2))
+    _, phi, trace = train(config, records, model, flows.AnsatzSpec(d=2, family="mean-field"))
+    assert phi == NuisanceParams()
+    assert trace.phi.shape == (5, 3) and not trace.phi.any()
+
+
 def test_toy_training_recovers_frequency():
     truth = np.array([0.5])
     model = ToyModel(n=1)
