@@ -163,8 +163,11 @@ def load_config(path) -> dict:
                               f"{flows.STACKED!r}")
     if model_setting(config, "repetitions") < 1:
         raise ConfigError("model.repetitions must be >= 1")
-    if selection_settings(config)["draws"] < 1:
+    sc = selection_settings(config)
+    if sc["draws"] < 1:
         raise ConfigError("selection.draws must be >= 1")
+    if sc["mahalanobis_t"] <= 0:
+        raise ConfigError("selection.mahalanobis_t must be > 0")
     if any(n < 1 for n in config.get("bench", {}).get("n_list", [])):
         raise ConfigError("bench.n_list entries must be >= 1")
     if config.get("plot", {}).get("draws", 0) < 0:

@@ -3,9 +3,9 @@
 Posterior draws are thresholded, all in one pass, and pruned to a spin count
 (the model class), classes get pseudo-Bayesian probabilities from their sample
 fractions, the kept spins of a class are marginalized to 2D (A_z, |A_perp|)
-points and clustered by Lloyd iterations started from the ansatz slots the
-points were kept from, and clusters are scored against a ground truth with
-Mahalanobis gating.
+points and grouped into one cluster per ansatz slot the points were kept from
+(two where a slot's own points are bimodal), and clusters are scored against a
+ground truth with Mahalanobis gating.
 """
 
 from __future__ import annotations
@@ -84,59 +84,45 @@ def map_class(probabilities: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# slot-started Lloyd clustering with inertia-based cluster count
+# one cluster per kept ansatz slot, split where the slot is bimodal
 # ---------------------------------------------------------------------------
 
 
-KMEANS_ITERS = 60       # Lloyd iterations per cluster-count trial, unless labels settle first
-
-
-def _lloyd(points: np.ndarray, centers: np.ndarray):
-    """Refine ``centers`` in place: (labels, centers, squared residual of each point)."""
-    k = centers.shape[0]
-    sq_norms = np.sum(points * points, axis=1)
-    labels = np.zeros(points.shape[0], dtype=int)
-    for _ in range(KMEANS_ITERS):
-        dist = sq_norms[:, None] - 2.0 * points @ centers.T + np.sum(centers * centers, axis=1)
-        new_labels = dist.argmin(axis=1)
-        counts = np.bincount(new_labels, minlength=k)
-        filled = counts > 0
-        for c in range(2):
-            centers[filled, c] = (np.bincount(new_labels, weights=points[:, c], minlength=k)[filled]
-                                  / counts[filled])
-        if not filled.all():  # re-seed empty clusters at the worst-fit point
-            centers[~filled] = points[int(np.argmax(dist.min(axis=1)))]
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return labels, centers, np.sum((points - centers[labels]) ** 2, axis=1)
-
+KMEANS_ITERS = 60       # Lloyd iterations per split trial, unless labels settle first
 
 # A split that separates two distinct modes removes nearly all of their
-# inertia; halving one Gaussian cloud removes at most 2/pi ~ 64% of its own
-# inertia (57% measured on a desk-scale spin cloud) and less of the total.
+# inertia; halving one Gaussian cloud removes at most 2/pi ~ 64% of its
+# inertia (57% measured on a desk-scale spin cloud).
 SPLIT_IMPROVEMENT = 0.8
 
 
-def _select_cluster_count(points: np.ndarray, slots: np.ndarray, n: int, n_max: int):
-    """Cluster count and labels for the marginalized cloud of an n-spin class.
+def _modes(points: np.ndarray) -> list[np.ndarray]:
+    """One slot's points as one cloud, or as two where the slot is bimodal.
 
-    Starts Lloyd at one cluster per spin of the class, k = n, from the mean
-    points of the n slots kept most often (ties to the lower slot), in slot
-    order.  Each trial at k + 1 starts from the current centres plus the
-    current worst-fit point, and is taken while it cuts the total inertia by at
-    least ``SPLIT_IMPROVEMENT``, so only mode-separating splits are taken, up
-    to ``n_max``.  Returns (k, labels).
+    A two-centre Lloyd trial starts from the mean point and the point farthest
+    from it, and the split is taken only if it removes at least
+    ``SPLIT_IMPROVEMENT`` of the slot's inertia; a trial that empties a centre
+    is no split.
     """
-    top = np.sort(np.argsort(-np.bincount(slots), kind="stable")[:n])
-    start = np.stack([points[slots == j].mean(axis=0) for j in top])
-    labels, centers, resid = _lloyd(points, start)
-    while len(centers) < n_max and resid.sum() > 1e-30:
-        trial = _lloyd(points, np.vstack([centers, points[resid.argmax()]]))
-        if resid.sum() - trial[2].sum() < SPLIT_IMPROVEMENT * resid.sum():
+    mean = points.mean(axis=0)
+    sq_dist = np.sum((points - mean) ** 2, axis=1)
+    centers = np.stack([mean, points[sq_dist.argmax()]])
+    labels = np.zeros(points.shape[0], dtype=int)
+    for _ in range(KMEANS_ITERS):
+        half_sq = 0.5 * np.sum(centers * centers, axis=1)   # nearer centre: argmin of |c|^2/2 - p.c
+        new_labels = (points @ (centers[1] - centers[0]) > half_sq[1] - half_sq[0]).astype(int)
+        counts = np.bincount(new_labels, minlength=2)
+        if not counts.all():
+            return [points]
+        for c in range(2):
+            centers[:, c] = np.bincount(new_labels, weights=points[:, c], minlength=2) / counts
+        if np.array_equal(new_labels, labels):
             break
-        labels, centers, resid = trial
-    return len(centers), labels
+        labels = new_labels
+    inertia, split = sq_dist.sum(), np.sum((points - centers[new_labels]) ** 2)
+    if inertia - split < SPLIT_IMPROVEMENT * inertia:
+        return [points]
+    return [points[new_labels == 0], points[new_labels == 1]]
 
 
 @dataclass
@@ -144,21 +130,20 @@ class Cluster:
     mu: np.ndarray          # (A_z, A_perp) center
     sigma: np.ndarray       # 2x2 biased covariance
     weight: float           # average number of spins represented (#S)
+    slot: int               # the ansatz slot its points were kept from
 
 
 def cluster_spins(points: np.ndarray, slots: np.ndarray, n: int) -> list[Cluster]:
-    """Lloyd clustering of the marginalized single-spin cloud of an n-spin class.
+    """Clusters of the marginalized single-spin cloud of an n-spin class, in slot order.
 
-    ``slots`` holds the ansatz slot each point was kept from.  Every draw of
-    the class keeps n slots, so the clustering starts at one cluster per spin,
-    k = n, from the mean points of the n slots kept most often.  It grows past
-    n (up to 2n) only while a split cuts the inertia by at least
-    ``SPLIT_IMPROVEMENT``, because a multimodal single-spin posterior
-    legitimately splits into several fractional-weight clusters.
-    On the desk-scale spin-identification fits every well-separated spin
-    cloud gets one cluster.
-    Weights are |K_j| / |S_n| so they sum to n; covariances of clusters with
-    fewer than three points get a 1e-12 ridge.
+    ``slots`` holds the ansatz slot each point was kept from.  In the
+    mean-field and full-affine families every slot's marginal is one
+    Gaussian, so each slot the class keeps is one cluster; a slot becomes two
+    fractional-weight clusters only when a two-centre split of its own points
+    removes at least ``SPLIT_IMPROVEMENT`` of its inertia, as a multimodal
+    single-spin posterior does.  A cluster therefore never holds two slots'
+    points.  Weights are |K_j| / |S_n| so they sum to n; covariances of
+    clusters with fewer than three points get a 1e-12 ridge.
     """
     points = np.asarray(points, dtype=float)
     slots = np.asarray(slots, dtype=int)
@@ -169,16 +154,16 @@ def cluster_spins(points: np.ndarray, slots: np.ndarray, n: int) -> list[Cluster
     if slots.shape != points.shape[:1] or np.count_nonzero(np.bincount(slots)) < n:
         raise ValueError("need one slot per point, from at least n slots")
     n_samples = points.shape[0] // n
-    l_n, labels = _select_cluster_count(points, slots, n, min(2 * n, points.shape[0]))
     clusters = []
-    for j in range(l_n):
-        members = points[labels == j]
-        mu = members.mean(axis=0)
-        centered = members - mu
-        sigma = centered.T @ centered / members.shape[0]
-        if members.shape[0] < 3:
-            sigma = sigma + 1e-12 * np.eye(2)
-        clusters.append(Cluster(mu=mu, sigma=sigma, weight=members.shape[0] / n_samples))
+    for slot in np.unique(slots).tolist():
+        for members in _modes(points[slots == slot]):
+            mu = members.mean(axis=0)
+            centered = members - mu
+            sigma = centered.T @ centered / members.shape[0]
+            if members.shape[0] < 3:
+                sigma = sigma + 1e-12 * np.eye(2)
+            clusters.append(Cluster(mu=mu, sigma=sigma, weight=members.shape[0] / n_samples,
+                                    slot=slot))
     return clusters
 
 
@@ -291,7 +276,8 @@ def selection_report(sample_set: PosteriorSampleSet, clusters,
         "map_class": sample_set.map_class,
         "aperp_threshold_mhz": sample_set.aperp_threshold,
         "clusters": [
-            {"mu": c.mu.tolist(), "sigma": c.sigma.tolist(), "weight": c.weight}
+            {"mu": c.mu.tolist(), "sigma": c.sigma.tolist(), "weight": c.weight,
+             "slot": c.slot}
             for c in clusters
         ],
     }

@@ -170,11 +170,12 @@ def test_wrong_type_rejected(tmp_path, capsys):
     ("dd", "ansatz", "hidden_width", 3),
     ("dd", "model", "repetitions", 0),
     ("dd", "selection", "draws", 0),
+    ("dd", "selection", "mahalanobis_t", 0.0),
     ("dd", "plot", "draws", -1),
 ], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
         "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "n_list-below-1",
         "ansatz.n_layers", "ansatz.hidden_width", "repetitions",
-        "selection.draws", "plot.draws"])
+        "selection.draws", "selection.mahalanobis_t", "plot.draws"])
 def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
     config.setdefault(section, {})[key] = value

@@ -1,9 +1,10 @@
 """Every imported name is used, every library function, class, constant and
-method has a reader outside the tests, and every defaulted parameter is passed
-by some caller outside the tests, checked by parsing the sources, not running
-them."""
+method has a reader outside the tests, every defaulted parameter is passed
+by some caller outside the tests, and every name the README quotes exists,
+checked by parsing the sources, not running them."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -189,3 +190,19 @@ def test_defaulted_parameters_are_passed():
     assert sorted(unpassed - UNPASSED.keys()) == []
     # an allowlisted parameter that gained a caller leaves the list
     assert sorted(UNPASSED.keys() - unpassed) == []
+
+
+def test_readme_names_exist_in_the_library():
+    """Each backticked identifier or dotted name of README.md (a call's name
+    too) is, part by part, the package, a module or a word of the library's
+    sources, so a rename or a deletion cannot leave the README naming what is
+    gone."""
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    modules = sorted((ROOT / "src" / "vbi").glob("*.py"))
+    words = {"vbi", *(p.stem for p in modules),
+             *re.findall(r"\w+", "\n".join(p.read_text() for p in modules))}
+    name = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
+    stale = sorted({match[1] for span in re.findall(r"`([^`\n]+)`", prose)
+                    if (match := name.fullmatch(span))
+                    and not set(match[1].split(".")) <= words})
+    assert stale == []

@@ -202,6 +202,29 @@ def test_cluster_weights_sum_to_class_size():
     points = rng.uniform(0, 0.5, (n_class * n_samples, 2))
     clusters = selection.cluster_spins(points, np.arange(len(points)) % n_class, n_class)
     assert sum(c.weight for c in clusters) == pytest.approx(n_class, abs=1e-9)
+    assert all(c.weight <= 1.0 for c in clusters)
+
+
+def test_no_cluster_mixes_two_slots():
+    # A class-7 posterior with six slots every draw keeps, some as close as
+    # 50 kHz in A_z, and four narrow surplus slots near the threshold that
+    # take the seventh place in 3, 2, 3 and 2 of every 10 draws.  Each slot is
+    # one Gaussian cloud, so each is one cluster, at its own mean point.
+    rng = RngStream(12)
+    n_draws = 1700
+    centres = np.array([[0.181, 0.350], [-0.167, 0.333], [-0.291, 0.374], [-0.004, 0.324],
+                        [0.046, 0.267], [-0.124, 0.309],
+                        [-0.135, 0.052], [0.012, 0.052], [-0.111, 0.052], [0.193, 0.052]])
+    spread = np.array([[0.003, 0.0095]] * 6 + [[0.012, 0.0018]] * 4)
+    surplus = np.array([6, 6, 6, 7, 7, 8, 8, 8, 9, 9])
+    slots = np.column_stack([np.tile(np.arange(6), (n_draws, 1)),
+                             surplus[np.arange(n_draws) % 10]]).ravel()
+    points = centres[slots] + spread[slots] * rng.standard_normal((len(slots), 2))
+    clusters = selection.cluster_spins(points, slots, 7)
+    assert [c.slot for c in clusters] == list(range(10))
+    for c in clusters:
+        assert np.array_equal(c.mu, points[slots == c.slot].mean(axis=0))
+    assert [c.weight for c in clusters] == pytest.approx([1.0] * 6 + [0.3, 0.2, 0.3, 0.2])
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +235,7 @@ def test_cluster_weights_sum_to_class_size():
 def make_cluster(mu, sigma=None, weight=1.0):
     return selection.Cluster(mu=np.asarray(mu, dtype=float),
                              sigma=np.eye(2) if sigma is None else np.asarray(sigma),
-                             weight=weight)
+                             weight=weight, slot=0)
 
 
 def test_metrics_formula_arithmetic():
@@ -311,6 +334,7 @@ def test_selection_report_and_samples_csv(tmp_path):
     assert loaded["Z"] == 50
     assert loaded["map_class"] == 1
     assert set(loaded["metrics"]) == {"TP", "FP", "FN", "precision", "recall", "F1"}
+    assert [c["slot"] for c in loaded["clusters"]] == [c.slot for c in clusters] == [0]
     csv_path = tmp_path / "samples.csv"
     selection.write_samples_csv(csv_path, ss)
     lines = csv_path.read_text().strip().splitlines()
