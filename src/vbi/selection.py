@@ -4,8 +4,8 @@ Posterior draws are thresholded, all in one pass, and pruned to a spin count
 (the model class), classes get pseudo-Bayesian probabilities from their sample
 fractions, the kept spins of a class are marginalized to 2D (A_z, |A_perp|)
 points and grouped into one cluster per ansatz slot the points were kept from
-(two where a slot's own points are bimodal), and clusters are scored against a
-ground truth with Mahalanobis gating.
+(more where a slot's own points are multimodal), and clusters are scored
+against a ground truth with Mahalanobis gating.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def map_class(probabilities: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# one cluster per kept ansatz slot, split where the slot is bimodal
+# one cluster per kept ansatz slot, split where the slot is multimodal
 # ---------------------------------------------------------------------------
 
 
@@ -97,12 +97,13 @@ SPLIT_IMPROVEMENT = 0.8
 
 
 def _modes(points: np.ndarray) -> list[np.ndarray]:
-    """One slot's points as one cloud, or as two where the slot is bimodal.
+    """One slot's points as one cloud, or split where the slot is multimodal.
 
     A two-centre Lloyd trial starts from the mean point and the point farthest
     from it, and the split is taken only if it removes at least
     ``SPLIT_IMPROVEMENT`` of the slot's inertia; a trial that empties a centre
-    is no split.
+    is no split.  Each half is tried again, so a slot with more than two modes
+    (a stacked flow's can have them) can give more than two clouds.
     """
     mean = points.mean(axis=0)
     sq_dist = np.sum((points - mean) ** 2, axis=1)
@@ -122,7 +123,7 @@ def _modes(points: np.ndarray) -> list[np.ndarray]:
     inertia, split = sq_dist.sum(), np.sum((points - centers[new_labels]) ** 2)
     if inertia - split < SPLIT_IMPROVEMENT * inertia:
         return [points]
-    return [points[new_labels == 0], points[new_labels == 1]]
+    return _modes(points[new_labels == 0]) + _modes(points[new_labels == 1])
 
 
 @dataclass
@@ -138,12 +139,13 @@ def cluster_spins(points: np.ndarray, slots: np.ndarray, n: int) -> list[Cluster
 
     ``slots`` holds the ansatz slot each point was kept from.  In the
     mean-field and full-affine families every slot's marginal is one
-    Gaussian, so each slot the class keeps is one cluster; a slot becomes two
-    fractional-weight clusters only when a two-centre split of its own points
-    removes at least ``SPLIT_IMPROVEMENT`` of its inertia, as a multimodal
-    single-spin posterior does.  A cluster therefore never holds two slots'
-    points.  Weights are |K_j| / |S_n| so they sum to n; covariances of
-    clusters with fewer than three points get a 1e-12 ridge.
+    Gaussian, so each slot the class keeps is one cluster; a slot becomes
+    several fractional-weight clusters only where a two-centre split of its
+    own points (or of a half already split off) removes at least
+    ``SPLIT_IMPROVEMENT`` of its inertia, as a multimodal single-spin
+    posterior does.  A cluster therefore never holds two slots' points.
+    Weights are |K_j| / |S_n| so they sum to n; covariances of clusters with
+    fewer than three points get a 1e-12 ridge.
     """
     points = np.asarray(points, dtype=float)
     slots = np.asarray(slots, dtype=int)
@@ -196,8 +198,8 @@ class MetricsReport:
 def _match_spins(clusters, truth: np.ndarray, t: float):
     """Assign each true spin to its nearest flagging cluster.
 
-    Clusters whose weight rounds to zero represent no spins (they contribute
-    no counts either way), so they cannot claim matches.
+    Clusters whose weight rounds to zero, slots (or modes) kept in at most
+    half of the class's draws, cannot claim matches.
     """
     eligible = [(j, c) for j, c in enumerate(clusters) if round(c.weight) >= 1]
     matches = []
@@ -214,9 +216,11 @@ def _match_spins(clusters, truth: np.ndarray, t: float):
 def ml_metrics(clusters, truth, t: float = DEFAULT_MAHALANOBIS_T) -> MetricsReport:
     """Precision/recall/F1 from Mahalanobis-gated true positives.
 
-    Per cluster, false positives are the excess of the (half-even) rounded
-    weight over its matched spins, counted only when positive; unmatched true
-    spins are false negatives.
+    False positives are the class's spins that no true spin accounts for: the
+    weight each cluster holds beyond its matched spins, summed over clusters
+    and then rounded (half-even), so a surplus spin spread over several slot
+    clusters, each below one half, still counts once.  Unmatched true spins
+    are false negatives.
     """
     if t <= 0:
         raise ValueError("gate threshold must be positive")
@@ -226,11 +230,8 @@ def ml_metrics(clusters, truth, t: float = DEFAULT_MAHALANOBIS_T) -> MetricsRepo
     for _, j, _ in matches:
         tp_per_cluster[j] += 1
     tp = len(matches)
-    fp = 0
-    for j, cluster in enumerate(clusters):
-        excess = round(cluster.weight) - int(tp_per_cluster[j])  # round() is half-even
-        if excess > 0:
-            fp += excess
+    unmatched = sum(max(c.weight - int(tp_per_cluster[j]), 0.0) for j, c in enumerate(clusters))
+    fp = round(unmatched)   # round() is half-even
     fn = truth.shape[0] - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0

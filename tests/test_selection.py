@@ -176,11 +176,8 @@ def test_two_blob_recovery():
 
 def test_slot_start_keeps_close_slot_clouds_apart():
     # Slots 0 and 1 are clouds 50 kHz apart; slot 2 is bimodal, its modes
-    # 200 kHz apart.  At k = 3, merging slots 0 and 1 leaves less inertia
-    # than keeping slot 2 whole, and splitting the merged pair at k = 4 then
-    # removes too little of the total, so a k-means that ignores the slots
-    # ends with one cluster of weight 2.0.  Started from the slots, k = 3 is
-    # one cluster per slot and the split of slot 2 is taken.
+    # 200 kHz apart.  Each slot is its own cluster, however close, and only
+    # slot 2's own points are split, into two half-weight clusters.
     rng = RngStream(11)
     n_draws = 200
     centres = np.zeros((n_draws, 3, 2))
@@ -196,6 +193,20 @@ def test_slot_start_keeps_close_slot_clouds_apart():
     assert whole == pytest.approx([0.0, 0.05], abs=0.005)
 
 
+def test_slot_with_three_modes_gives_three_clusters():
+    # A stacked flow's slot marginal can have more than two modes.  Here two
+    # modes 20 kHz apart sit 400 kHz from a third: the first split takes the
+    # far mode off, and the near pair is split again.
+    rng = RngStream(13)
+    modes = np.array([[0.0, 0.3], [0.02, 0.3], [0.4, 0.3]])
+    which = np.tile([0, 0, 1, 2], 100)
+    points = modes[which] + 0.002 * rng.standard_normal((400, 2))
+    clusters = selection.cluster_spins(points, np.zeros(400, dtype=int), 1)
+    assert sorted(c.weight for c in clusters) == pytest.approx([0.25, 0.25, 0.5])
+    for c in clusters:
+        assert np.abs(modes - c.mu).max(axis=1).min() < 0.002
+
+
 def test_cluster_weights_sum_to_class_size():
     rng = RngStream(5)
     n_class, n_samples = 4, 300
@@ -205,21 +216,28 @@ def test_cluster_weights_sum_to_class_size():
     assert all(c.weight <= 1.0 for c in clusters)
 
 
-def test_no_cluster_mixes_two_slots():
+SURPLUS_CENTRES = np.array([[0.181, 0.350], [-0.167, 0.333], [-0.291, 0.374], [-0.004, 0.324],
+                            [0.046, 0.267], [-0.124, 0.309],
+                            [-0.135, 0.052], [0.012, 0.052], [-0.111, 0.052], [0.193, 0.052]])
+
+
+def surplus_class():
     # A class-7 posterior with six slots every draw keeps, some as close as
     # 50 kHz in A_z, and four narrow surplus slots near the threshold that
-    # take the seventh place in 3, 2, 3 and 2 of every 10 draws.  Each slot is
-    # one Gaussian cloud, so each is one cluster, at its own mean point.
+    # take the seventh place in 3, 2, 3 and 2 of every 10 draws.
     rng = RngStream(12)
     n_draws = 1700
-    centres = np.array([[0.181, 0.350], [-0.167, 0.333], [-0.291, 0.374], [-0.004, 0.324],
-                        [0.046, 0.267], [-0.124, 0.309],
-                        [-0.135, 0.052], [0.012, 0.052], [-0.111, 0.052], [0.193, 0.052]])
     spread = np.array([[0.003, 0.0095]] * 6 + [[0.012, 0.0018]] * 4)
     surplus = np.array([6, 6, 6, 7, 7, 8, 8, 8, 9, 9])
     slots = np.column_stack([np.tile(np.arange(6), (n_draws, 1)),
                              surplus[np.arange(n_draws) % 10]]).ravel()
-    points = centres[slots] + spread[slots] * rng.standard_normal((len(slots), 2))
+    points = SURPLUS_CENTRES[slots] + spread[slots] * rng.standard_normal((len(slots), 2))
+    return points, slots
+
+
+def test_no_cluster_mixes_two_slots():
+    # Each slot is one Gaussian cloud, so each is one cluster, at its own mean point.
+    points, slots = surplus_class()
     clusters = selection.cluster_spins(points, slots, 7)
     assert [c.slot for c in clusters] == list(range(10))
     for c in clusters:
@@ -248,6 +266,16 @@ def test_metrics_formula_arithmetic():
     assert report.precision == pytest.approx(0.8)
     assert report.recall == pytest.approx(1.0)
     assert report.f1 == pytest.approx(8.0 / 9.0)
+
+
+def test_surplus_spin_spread_over_slots_is_one_false_positive():
+    # The seventh spin's weight is spread over four slots, none above one
+    # half; summed, it is one spin that no true spin accounts for.
+    points, slots = surplus_class()
+    clusters = selection.cluster_spins(points, slots, 7)
+    report = selection.ml_metrics(clusters, SURPLUS_CENTRES[:6], t=4.0)
+    assert (report.tp, report.fp, report.fn) == (6, 1, 0)
+    assert report.f1 == pytest.approx(12.0 / 13.0)
 
 
 def test_metrics_euclidean_gate():
