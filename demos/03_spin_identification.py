@@ -31,7 +31,7 @@ print(f"fit done, smoothed ELBO {trace.smoothed_elbo():.1f}, "
       f"T2 = {1 / max(phi.t2_inv, 1e-12) / 1000:.1f} ms")
 
 truth_2d = truth.reshape(-1, 2)
-sample_set, clusters, metrics, _ = select_spins(config, params, 99, truth_2d)
+sample_set, clusters, metrics = select_spins(config, params, 99, truth_2d)
 print("class probabilities:",
       {c: round(p, 3) for c, p in sorted(sample_set.probabilities.items())})
 print(f"MAP class: {sample_set.map_class} spins")

@@ -12,7 +12,7 @@ Public surface by module:
   surrogate information gain.
 * :mod:`vbi.smc`         -- particle-filter baseline and error metrics.
 * :mod:`vbi.selection`   -- one-pass thresholding of posterior draws, class
-  probabilities, clustering, precision/recall/F1 scoring.
+  probabilities, clustering, precision/recall/F1 and coupling-error scoring.
 * :mod:`vbi.simulator`   -- synthetic datasets, measurement-time accounting,
   resolution bounds.
 * :mod:`vbi.pipeline`    -- run-config format, config-driven fit

@@ -112,8 +112,8 @@ def cmd_select(args) -> int:
     params, _ = _load_checkpoint(args.checkpoint, config)
     truth = read_truth_json(args.ground_truth)[0] if args.ground_truth else None
     seed = args.seed if args.seed is not None else 0
-    sample_set, clusters, metrics, errors = pipeline.select_spins(config, params, seed, truth)
-    report = selection.selection_report(sample_set, clusters, metrics, errors)
+    sample_set, clusters, metrics = pipeline.select_spins(config, params, seed, truth)
+    report = selection.selection_report(sample_set, clusters, metrics)
     selection.write_report(out / "selection.json", report)
     selection.write_samples_csv(out / "samples.csv", sample_set)
     print(f"MAP class {sample_set.map_class} "

@@ -1,4 +1,15 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the field check of its JSON inputs."""
+
+_JSON_KINDS = {float: "a number", int: "an integer", list: "a list", dict: "an object"}
+
+
+def json_field(obj: dict, key: str, kind=float):
+    """``obj[key]`` of a parsed JSON file, or a ValueError naming ``key`` if it is not a
+    ``kind``: float (any number, returned as a float), int, list or dict; bools are none."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"field {key!r} is not {_JSON_KINDS[kind]}: {type(value).__name__}")
+    return float(value) if kind is float else value
 
 
 class NumericOverflowError(ArithmeticError):

@@ -33,8 +33,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import NumericOverflowError
-from .probcore import LOG_TWO_PI, RngStream, softplus, softplus_inv
+from .errors import NumericOverflowError, json_field
+from .probcore import LOG_TWO_PI, RngStream, logistic, softplus, softplus_inv
 
 MEAN_FIELD = "mean-field"
 FULL_AFFINE = "full-affine"
@@ -330,8 +330,7 @@ def backward_batch(cache: _BatchCache, dl_dtheta: np.ndarray, dl_dlogq: np.ndarr
     g_mu[:] = dl_dtheta.sum(axis=0)
     g_low = np.tril(dl_dtheta.T @ cache.affine_in)
     g_diag = np.diag(g_low) + g_ld.sum() / np.diag(low)
-    sig = 1.0 / (1.0 + np.exp(-np.diag(params.l_raw)))  # d softplus / d raw
-    np.fill_diagonal(g_low, g_diag * sig)
+    np.fill_diagonal(g_low, g_diag * logistic(np.diag(params.l_raw)))  # d softplus / d raw
     g_l[:] = g_low[params._l_index]
 
     gx = dl_dtheta @ low
@@ -383,9 +382,16 @@ def load_checkpoint(path):
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
     try:
-        spec = AnsatzSpec(d=payload["d"], family=payload["family"],
-                          n_layers=payload["n_layers"], hidden_width=payload["hidden_width"])
-        params = FlowParameters(spec, payload["params"])
+        spec = AnsatzSpec(d=json_field(payload, "d", int), family=payload["family"],
+                          n_layers=json_field(payload, "n_layers", int),
+                          hidden_width=json_field(payload, "hidden_width", int))
+        vector = json_field(payload, "params", list)
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vector):
+            raise ValueError("field 'params' is not a flat list of numbers")
+        params = FlowParameters(spec, vector)
+        extra = json_field(payload, "extra", dict) if "extra" in payload else {}
     except KeyError as err:
         raise ValueError(f"checkpoint {path} lacks field {err.args[0]!r}") from None
-    return params, payload.get("extra", {})
+    except ValueError as err:
+        raise ValueError(f"checkpoint {path}: {err}") from None
+    return params, extra

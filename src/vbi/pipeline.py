@@ -436,10 +436,10 @@ def select_spins(config: dict, params: flows.FlowParameters, seed: int, truth=No
     Draws ``selection.draws`` samples from ``RngStream(seed)``, thresholds
     them to a class each, and clusters the spins of the MAP class from the
     ansatz slots they came from.  Given the (K, 2) (A_z, A_perp) ``truth``, the
-    clusters are scored against (A_z, |A_perp|) with ``selection.mahalanobis_t``.
-    Returns (PosteriorSampleSet, clusters, MetricsReport, HyperfineErrors);
-    the last two are None without a truth, and the errors also when no spin
-    was matched.
+    clusters are scored against (A_z, |A_perp|) with ``selection.mahalanobis_t``
+    in one :func:`selection.ml_metrics` match, which also gives the coupling
+    errors.  Returns (PosteriorSampleSet, clusters, MetricsReport); the report
+    is None without a truth.
     """
     sc = selection_settings(config)
     theta, _, _ = flows.sample_batch(params, sc["draws"], RngStream(seed))
@@ -448,12 +448,9 @@ def select_spins(config: dict, params: flows.FlowParameters, seed: int, truth=No
     clusters = []
     if n > 0:
         clusters = selection.cluster_spins(sample_set.class_points(n), sample_set.class_slots(n), n)
-    metrics = errors = None
-    if truth is not None:
-        truth = np.column_stack([truth[:, 0], np.abs(truth[:, 1])])
-        metrics = selection.ml_metrics(clusters, truth, sc["mahalanobis_t"])
-        errors = selection.hyperfine_errors(clusters, truth, sc["mahalanobis_t"])
-    return sample_set, clusters, metrics, errors
+    metrics = None if truth is None else selection.ml_metrics(
+        clusters, np.column_stack([truth[:, 0], np.abs(truth[:, 1])]), sc["mahalanobis_t"])
+    return sample_set, clusters, metrics
 
 
 # keys of a toy config that bench_pf_rows cannot honour: it draws one truth per

@@ -85,6 +85,13 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
+def logistic(x):
+    """1 / (1 + exp(-x)), the derivative of softplus; below x = -709 exp(-x)
+    overflows to inf and the quotient is the exact limit 0, so the warning is silenced."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def softplus_inv(y):
     """Inverse of softplus: log(exp(y) - 1), stable for large and tiny y."""
     y = np.asarray(y, dtype=float)

@@ -193,6 +193,8 @@ class MetricsReport:
     precision: float
     recall: float
     f1: float
+    mean_daz_khz: float | None   # mean |dA_z| of the matched spins in kHz, None without a match
+    mean_dap_khz: float | None   # the same for |dA_perp|
 
 
 def _match_spins(clusters, truth: np.ndarray, t: float):
@@ -214,13 +216,14 @@ def _match_spins(clusters, truth: np.ndarray, t: float):
 
 
 def ml_metrics(clusters, truth, t: float = DEFAULT_MAHALANOBIS_T) -> MetricsReport:
-    """Precision/recall/F1 from Mahalanobis-gated true positives.
+    """Precision/recall/F1 and the mean TP coupling errors from one Mahalanobis-gated match.
 
     False positives are the class's spins that no true spin accounts for: the
     weight each cluster holds beyond its matched spins, summed over clusters
     and then rounded (half-even), so a surplus spin spread over several slot
     clusters, each below one half, still counts once.  Unmatched true spins
-    are false negatives.
+    are false negatives.  The errors, in kHz, are between each matched spin
+    and its cluster's centre; None, flagged by a warning, without a match.
     """
     if t <= 0:
         raise ValueError("gate threshold must be positive")
@@ -236,31 +239,12 @@ def ml_metrics(clusters, truth, t: float = DEFAULT_MAHALANOBIS_T) -> MetricsRepo
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)) if precision + recall else 0.0
-    return MetricsReport(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1)
-
-
-@dataclass
-class HyperfineErrors:
-    mean_daz_khz: float
-    mean_dap_khz: float
-    n_matched: int
-
-
-def hyperfine_errors(clusters, truth, t: float = DEFAULT_MAHALANOBIS_T) -> HyperfineErrors | None:
-    """Mean absolute TP errors in kHz, spins matched to their flagging cluster.
-
-    Returns None (flagged by a warning) when nothing was matched.
-    """
-    truth = np.atleast_2d(np.asarray(truth, dtype=float))
-    matches = _match_spins(clusters, truth, t)
     if not matches:
         warnings.warn("no true positives; hyperfine error report absent")
-        return None
-    daz = [abs(clusters[j].mu[0] - truth[k][0]) for k, j, _ in matches]
-    dap = [abs(clusters[j].mu[1] - truth[k][1]) for k, j, _ in matches]
-    return HyperfineErrors(mean_daz_khz=1e3 * float(np.mean(daz)),
-                           mean_dap_khz=1e3 * float(np.mean(dap)),
-                           n_matched=len(matches))
+    daz, dap = (1e3 * float(np.mean([abs(clusters[j].mu[c] - truth[k, c]) for k, j, _ in matches]))
+                if matches else None for c in (0, 1))
+    return MetricsReport(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1,
+                         mean_daz_khz=daz, mean_dap_khz=dap)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +253,9 @@ def hyperfine_errors(clusters, truth, t: float = DEFAULT_MAHALANOBIS_T) -> Hyper
 
 
 def selection_report(sample_set: PosteriorSampleSet, clusters,
-                     metrics: MetricsReport | None = None,
-                     errors: HyperfineErrors | None = None) -> dict:
+                     metrics: MetricsReport | None = None) -> dict:
+    """The ``selection.json`` payload; given ``metrics``, also them and, when TP > 0,
+    their coupling errors as ``errors_kHz`` (``matched`` is the TP count)."""
     report = {
         "Z": sample_set.z,
         "p_c": {str(c): p for c, p in sorted(sample_set.probabilities.items())},
@@ -286,9 +271,9 @@ def selection_report(sample_set: PosteriorSampleSet, clusters,
         report["metrics"] = {"TP": metrics.tp, "FP": metrics.fp, "FN": metrics.fn,
                              "precision": metrics.precision, "recall": metrics.recall,
                              "F1": metrics.f1}
-    if errors is not None:
-        report["errors_kHz"] = {"Az": errors.mean_daz_khz, "Aperp": errors.mean_dap_khz,
-                                "matched": errors.n_matched}
+        if metrics.tp:
+            report["errors_kHz"] = {"Az": metrics.mean_daz_khz, "Aperp": metrics.mean_dap_khz,
+                                    "matched": metrics.tp}
     return report
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, json_field
 from .likelihoods import DDModel, MeasurementRecord, NuisanceParams, ToyModel
 from .probcore import RngStream
 
@@ -211,17 +211,19 @@ def write_truth_json(path, couplings, t2_inv: float, b_gauss: float) -> None:
 
 
 def read_truth_json(path):
-    """Returns ((n, 2) couplings, T2_inv, B_gauss). Raises ValueError on a
-    missing field or a payload of the wrong shape."""
+    """Returns ((n, 2) couplings, T2_inv, B_gauss), n = 0 included. Raises
+    ValueError on a missing field, or a field or payload of the wrong type."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"ground truth {path} is not a JSON object")
     try:
-        if not (isinstance(payload["spins"], list)
-                and all(isinstance(s, dict) for s in payload["spins"])):
-            raise ValueError(f"ground truth {path}: 'spins' is not a list of objects")
-        spins = np.array([[s["Az_MHz"], s["Aperp_MHz"]] for s in payload["spins"]])
-        return spins, float(payload["T2_inv"]), float(payload["B_gauss"])
+        if not all(isinstance(s, dict) for s in json_field(payload, "spins", list)):
+            raise ValueError("'spins' is not a list of objects")
+        spins = [[json_field(s, "Az_MHz"), json_field(s, "Aperp_MHz")] for s in payload["spins"]]
+        return (np.array(spins, dtype=float).reshape(-1, 2), json_field(payload, "T2_inv"),
+                json_field(payload, "B_gauss"))
     except KeyError as err:
         raise ValueError(f"ground truth {path} lacks field {err.args[0]!r}") from None
+    except ValueError as err:
+        raise ValueError(f"ground truth {path}: {err}") from None

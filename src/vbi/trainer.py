@@ -19,7 +19,7 @@ import numpy as np
 from . import flows
 from .errors import DegenerateAnsatzWarning, TrainingDiverged
 from .likelihoods import NuisanceParams
-from .probcore import LOG_TWO_PI, RngStream, softplus, softplus_inv
+from .probcore import LOG_TWO_PI, RngStream, logistic, softplus, softplus_inv
 from .simulator import sample_records
 
 REG_NONE = "none"
@@ -78,16 +78,6 @@ def _regularizer_terms(theta2d: np.ndarray, kind: str, sigma: float):
     return val, dtheta
 
 
-def _logistic(x):
-    """1 / (1 + exp(-x)) for any x, without overflow warnings.
-
-    Below x = -709 exp(-x) overflows to inf and the quotient is the exact
-    limit 0, so only the warning is silenced; every value is unchanged.
-    """
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 # ---------------------------------------------------------------------------
 # priors over the physical parameters
 # ---------------------------------------------------------------------------
@@ -127,7 +117,7 @@ class PriorSpec:
             return np.ones_like(theta)
         k = BOX_SHARPNESS
         lo, hi = np.asarray(self.low, dtype=float), np.asarray(self.high, dtype=float)
-        return _logistic(k * (theta - lo)) - _logistic(k * (theta - hi))
+        return logistic(k * (theta - lo)) - logistic(k * (theta - hi))
 
     def log_density_terms(self, theta2d: np.ndarray):
         """(value, d/dtheta) of log pi on the (already transformed) samples."""
@@ -384,7 +374,7 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
         est = estimate_elbo(params, data, model, config.prior, config.regularizer,
                             config.batch, step_rng, phi=phi, record_weights=schedule(i - 1))
         # the nuisance gradient chains through softplus to their raw storage
-        grad = np.concatenate([est.grad_flow, est.grad_phi * _logistic(x[n_flow:])])
+        grad = np.concatenate([est.grad_flow, est.grad_phi * logistic(x[n_flow:])])
 
         lr = config.learning_rate(i)
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad

@@ -243,8 +243,8 @@ def spin_identification_runs():
         params, phi, trace = pipeline.fit_dataset(config, records, seed)
         fit_seconds = time.perf_counter() - t0
         truth_2d = np.column_stack([truth[0::2], truth[1::2]])
-        sample_set, clusters, metrics, _ = pipeline.select_spins(config, params, seed + 12000,
-                                                                 truth_2d)
+        sample_set, clusters, metrics = pipeline.select_spins(config, params, seed + 12000,
+                                                              truth_2d)
         matches = selection._match_spins(clusters, truth_2d, 4.0)
         runs.append(dict(seed=seed, truth=truth_2d, records=records, params=params,
                          phi=phi, trace=trace, fit_seconds=fit_seconds,

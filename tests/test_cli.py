@@ -9,7 +9,9 @@ import pytest
 
 import vbi
 from vbi import cli, flows, pipeline, selection
+from vbi.errors import TrainingDiverged
 from vbi.simulator import read_dataset_csv, read_truth_json
+from vbi.trainer import TrainTrace
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -255,6 +257,27 @@ def test_fit_rejects_mismatched_dataset(tmp_path, capsys):
     assert code == 2
 
 
+def test_fit_divergence_leaves_the_trace_and_no_checkpoint(tmp_path, capsys, monkeypatch,
+                                                          fitted_run):
+    path, out = fitted_run
+    steps = 12
+    trace = TrainTrace(elbo=-np.arange(steps, dtype=float), lr=np.full(steps, 1e-2),
+                       phi=np.zeros((steps, 3)), reg_sigma=np.ones(steps))
+
+    def diverge(config, records, seed):
+        raise TrainingDiverged(steps, -1e9, trace)
+
+    monkeypatch.setattr(pipeline, "fit_dataset", diverge)
+    code = cli.main(["fit", "--config", path, "--dataset", str(out / "dataset.csv"),
+                     "--out", str(tmp_path)])
+    assert code == 3
+    lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
+    assert lines[0] == "step,elbo,lr,t2_inv,chi,eta,reg_sigma"
+    assert len(lines) == 1 + steps
+    assert f"diverged at step {steps}" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
 def test_fit_is_byte_reproducible(fitted_run, tmp_path):
     path, out = fitted_run
     again = tmp_path / "again"
@@ -319,7 +342,17 @@ def test_select_numeric_overflow_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("payload,problem", [
     ([1, 2], "not a JSON object"),
     ({"spins": [1, 2], "T2_inv": 1e-4, "B_gauss": 403.0}, "not a list of objects"),
-], ids=["top-level-list", "spins-not-objects"])
+    ({"spins": [{"Az_MHz": "x", "Aperp_MHz": 0.2}], "T2_inv": 1e-4, "B_gauss": 403.0},
+     "'Az_MHz' is not a number"),
+    ({"spins": [{"Az_MHz": None, "Aperp_MHz": 0.2}], "T2_inv": 1e-4, "B_gauss": 403.0},
+     "'Az_MHz' is not a number"),
+    ({"spins": [{"Az_MHz": 0.1, "Aperp_MHz": True}], "T2_inv": 1e-4, "B_gauss": 403.0},
+     "'Aperp_MHz' is not a number"),
+    ({"spins": [{"Az_MHz": 0.1, "Aperp_MHz": 0.2}], "T2_inv": 1e-4, "B_gauss": [1]},
+     "'B_gauss' is not a number"),
+    ({"spins": {"Az_MHz": 0.1}, "T2_inv": 1e-4, "B_gauss": 403.0}, "'spins' is not a list"),
+], ids=["top-level-list", "spins-not-objects", "az-string", "az-null", "aperp-bool",
+        "b-gauss-list", "spins-object"])
 def test_select_rejects_malformed_ground_truth(tmp_path, capsys, fitted_run, payload, problem):
     path, out = fitted_run
     truth = tmp_path / "ground_truth.json"
@@ -328,6 +361,48 @@ def test_select_rejects_malformed_ground_truth(tmp_path, capsys, fitted_run, pay
                      "--ground-truth", str(truth), "--out", str(tmp_path)])
     assert code == 2
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("d", "20", "'d' is not an integer"),
+    ("d", 6.0, "'d' is not an integer"),
+    ("n_layers", True, "'n_layers' is not an integer"),
+    ("family", 5, "unknown family 5"),
+    ("params", "1.0", "'params' is not a list"),
+    ("params", lambda p: [[v] for v in p["params"]], "'params' is not a flat list of numbers"),
+    ("extra", [1], "'extra' is not an object"),
+], ids=["d-string", "d-float", "n-layers-bool", "family-number", "params-string",
+        "params-nested", "extra-list"])
+def test_select_rejects_malformed_checkpoint(tmp_path, capsys, fitted_run, field, value, problem):
+    path, out = fitted_run
+    payload = json.loads((out / "checkpoint.json").read_text())
+    payload[field] = value(payload) if callable(value) else value
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(payload))
+    code = cli.main(["select", "--config", path, "--checkpoint", str(bad),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert problem in capsys.readouterr().err
+
+
+def test_select_scores_an_empty_ground_truth(tmp_path, fitted_run):
+    # vbi simulate writes "spins": [] for a config with no truth spins
+    path, out = fitted_run
+    config = dd_config(truth_spins=[])
+    del config["model"]["truth_count"], config["model"]["truth_seed"]
+    empty = tmp_path / "empty"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, config),
+                     "--out", str(empty)]) == 0
+    assert json.loads((empty / "ground_truth.json").read_text())["spins"] == []
+    with pytest.warns(UserWarning, match="no true positives"):
+        code = cli.main(["select", "--config", path,
+                         "--checkpoint", str(out / "checkpoint.json"),
+                         "--ground-truth", str(empty / "ground_truth.json"),
+                         "--out", str(empty)])
+    assert code == 0
+    report = json.loads((empty / "selection.json").read_text())
+    assert (report["metrics"]["TP"], report["metrics"]["FN"]) == (0, 0)
+    assert "errors_kHz" not in report
 
 
 def test_select_rejects_toy_config(tmp_path, capsys):

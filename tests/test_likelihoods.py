@@ -429,6 +429,41 @@ def test_stretched_envelope_gradients_match_central_differences(eta_stretch):
         assert grad_phi[0, j] == pytest.approx(central(of_phi, phi_vals, j), rel=1e-6), j
 
 
+def test_batch_loglik_weighted_gradients_equal_unweighted_gradients_of_the_subset():
+    model = lk.DDModel(k_spins=2, omega_l=OMEGA_L)
+    phi = lk.NuisanceParams(t2_inv=2e-4, chi=1e-3, eta=0.02)
+    records = _dd_records(7, 30)
+    rng = RngStream(8)
+    a = np.column_stack([rng.uniform(-0.2, 0.2, 5), rng.uniform(0.1, 0.4, 5),
+                         rng.uniform(-0.2, 0.2, 5), rng.uniform(0.1, 0.4, 5)])
+    subset = np.arange(len(records)) % 3 == 0
+    data = model.prepare(records)
+    ll, _, _ = model.batch_loglik(data, a, phi)
+    ll_w, grad_a_w, grad_phi_w = model.batch_loglik(data, a, phi, grad_weights=subset * 1.0)
+    on_subset = model.prepare([r for r, s in zip(records, subset) if s])
+    _, grad_a_s, grad_phi_s = model.batch_loglik(on_subset, a, phi)
+    assert np.array_equal(ll_w, ll)
+    np.testing.assert_allclose(grad_a_w, grad_a_s, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(grad_phi_w, grad_phi_s, rtol=1e-12, atol=0.0)
+
+
+def test_batch_loglik_at_the_variance_floor():
+    # no noise, no decay and no transverse coupling: p1 = 0 and the variance
+    # is 0 on every record, so every one is floored
+    model = lk.DDModel(k_spins=1, omega_l=OMEGA_L)
+    phi = lk.NuisanceParams()
+    records = _dd_records(9, 30)
+    a = np.array([[0.1, 0.0], [-0.2, 0.0]])
+    before = lk.variance_floor_count()
+    ll, grad_a, grad_phi = model.batch_loglik(model.prepare(records), a, phi)
+    assert lk.variance_floor_count() == before + a.shape[0] * len(records)
+    assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad_a))
+    assert np.all(np.isfinite(grad_phi))
+    assert np.all(grad_phi[:, 1:] == 0.0)    # chi and eta
+    for row, value in zip(a, ll):
+        assert value == pytest.approx(lk.log_joint(records, row, phi, model), rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # dd kernel against a closed-form oracle, mixed N_pi and |cos phi| = 1
 # --------------------------------------------------------------------------

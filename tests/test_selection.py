@@ -313,18 +313,20 @@ def test_metrics_scale_invariance():
 
 def test_hyperfine_errors_exact_match_and_offset():
     cluster = make_cluster([0.1, 0.3], sigma=1e-6 * np.eye(2))
-    exact = selection.hyperfine_errors([cluster], [[0.1, 0.3]], t=4.0)
+    exact = selection.ml_metrics([cluster], [[0.1, 0.3]], t=4.0)
     assert exact.mean_daz_khz == pytest.approx(0.0, abs=1e-9)
     offset = make_cluster([0.101, 0.302], sigma=1e-4 * np.eye(2))
-    got = selection.hyperfine_errors([offset], [[0.1, 0.3]], t=4.0)
+    got = selection.ml_metrics([offset], [[0.1, 0.3]], t=4.0)
     assert got.mean_daz_khz == pytest.approx(1.0, abs=1e-6)
     assert got.mean_dap_khz == pytest.approx(2.0, abs=1e-6)
 
 
 def test_hyperfine_errors_absent_when_no_tp():
     cluster = make_cluster([10.0, 10.0], sigma=1e-6 * np.eye(2))
-    with pytest.warns(UserWarning):
-        assert selection.hyperfine_errors([cluster], [[0.1, 0.3]], t=4.0) is None
+    with pytest.warns(UserWarning, match="no true positives"):
+        got = selection.ml_metrics([cluster], [[0.1, 0.3]], t=4.0)
+    assert got.tp == 0
+    assert got.mean_daz_khz is None and got.mean_dap_khz is None
 
 
 # --------------------------------------------------------------------------
@@ -362,6 +364,8 @@ def test_selection_report_and_samples_csv(tmp_path):
     assert loaded["Z"] == 50
     assert loaded["map_class"] == 1
     assert set(loaded["metrics"]) == {"TP", "FP", "FN", "precision", "recall", "F1"}
+    assert loaded["errors_kHz"] == {"Az": metrics.mean_daz_khz, "Aperp": metrics.mean_dap_khz,
+                                    "matched": metrics.tp} and metrics.tp == 1
     assert [c["slot"] for c in loaded["clusters"]] == [c.slot for c in clusters] == [0]
     csv_path = tmp_path / "samples.csv"
     selection.write_samples_csv(csv_path, ss)
