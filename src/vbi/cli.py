@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import flows, pipeline, selection
-from .errors import TrainingDiverged
+from .errors import TrainingDiverged, json_field
 from .likelihoods import NuisanceParams
 from .pipeline import ConfigError, load_config
 from .probcore import RngStream
@@ -147,7 +147,10 @@ def cmd_plotdata(args) -> int:
                           "(needs dataset.csv and checkpoint.json)")
     records = read_dataset_csv(dataset_path)
     params, extra = _load_checkpoint(ckpt_path, config)
-    phi = NuisanceParams(*extra.get("phi", [0.0, 0.0, 0.0]))
+    phi = json_field(extra, "phi", list) if "phi" in extra else [0.0, 0.0, 0.0]
+    if len(phi) != 3 or not all(type(v) in (int, float) and v >= 0 for v in phi):
+        raise ValueError(f"field 'phi' is not three non-negative numbers: {phi}")
+    phi = NuisanceParams(*map(float, phi))
     model = pipeline.build_model(config)
     kind = config["model"]["kind"]
     n_draws = config.get("plot", {}).get("draws", 256)

@@ -38,11 +38,12 @@ _SCENARIO_KEYS = ("m_points", "repetitions", "n_pi", "B_gauss", "T2_inv", "eta0"
 _BATH_KEYS = ("az_range", "aperp_range", "min_delta_az")
 
 # Greedy comb init (greedy_comb_init and matched_filter_az_scores)
-GREEDY_REL_FLOOR = 0.02          # least relative error cut that admits another spin
+GREEDY_REL_FLOOR = 0.02          # least relative error cut that admits or keeps a spin
 AZ_SCAN = (-0.32, 0.32)          # A_z window of the matched-filter scan
 AZ_SCAN_POINTS = 600
-POLISH_REACH = 3e-3              # fine comb-position step of a spin's refinement
-AP_SHIELD = 0.11                 # spins with A_perp above this are never eliminated
+COMB_STEP = 3e-3                 # comb-position step of a placement's coarse pass
+# A_perp values along a placed spin's ridge: its dips pin its comb position only
+AP_RIDGE = np.linspace(0.02, 0.55, 54)
 
 
 class ConfigError(Exception):
@@ -281,109 +282,80 @@ def matched_filter_az_scores(records, omega_l):
 
 
 def greedy_comb_init(records, model: DDModel, phi: NuisanceParams, k_max):
-    """Forward-select spins that actually improve the fit of the signal.
+    """Select spins forward, then exchange each against the others.
 
-    Spin sets are scored under ``model.outcome_prob`` at the nuisances ``phi``
-    the fit starts from, at each record's own N_pi; ``phi.eta`` is the readout
-    noise in the shot-noise floor.
-
-    Candidates are the strongest resonance-comb scores; each round adds the
-    (A_z, A_perp) pair with the largest squared-error reduction, A_z chosen
-    so that the pair's dips sit at the candidate's comb position, locally grid
-    refined.  Selection stops when no candidate improves the fit by
-    ``GREEDY_REL_FLOOR`` or the residual has reached the shot-noise floor, so noise
-    wiggles never spawn spins.  Harmonic ghosts never survive: once the parent
-    spin is in the active set, the ghost's dips are already explained.
+    Spin sets are scored by their squared error under ``model.outcome_prob``
+    at the start's nuisances ``phi`` and each record's own N_pi; ``phi.eta``
+    is the readout noise in the shot-noise floor.  One move, ``place``, fits a
+    spin against others held fixed: the strongest resonance-comb scores
+    against a coarse A_perp grid, then the comb position, coarse and fine,
+    each pass followed by A_perp over the whole ridge ``AP_RIDGE``.  One rule
+    admits and keeps a spin: the error without it is above 1.5x the shot-noise
+    floor, so noise wiggles never spawn spins, and the spin cuts it by
+    ``GREEDY_REL_FLOOR``.  Spins are added while the rule admits them.  Two
+    exchange passes then place each again against the others, drop it when
+    the rule no longer keeps it and move it when the new place fits better:
+    so wrong ridge points and shadows an early residual admitted go.
     """
     taus = np.array([r.tau_us for r in records])
     n_pi = np.array([r.n_pi for r in records])
     ys = np.array([r.y for r in records])
     reps = np.array([r.repetitions for r in records], dtype=float)
     noise_sse = float(np.sum(np.clip(ys * (1 - ys), 0.0, 0.25) / reps + phi.eta ** 2))
-    omega_l = model.omega_l
-    az_grid, scores = matched_filter_az_scores(records, omega_l)
-    candidates = []
+    az_grid, scores = matched_filter_az_scores(records, model.omega_l)
+    combs = []
     for i in np.argsort(scores)[::-1]:
-        if scores[i] <= 0.05 or len(candidates) >= 2 * k_max:
+        if scores[i] <= 0.05 or len(combs) >= 2 * k_max:
             break
-        if all(abs(az_grid[i] - az_grid[j]) > 0.012 for j in candidates):
-            candidates.append(i)
-    available = [float(az_grid[i]) for i in candidates]
-    ap_grid = np.arange(0.10, 0.50, 0.04)
-
-    def sse(spin_sets):
-        """Squared error of the signal under each of equal-size spin sets, in one call."""
-        stack = np.array(spin_sets, dtype=float).reshape(len(spin_sets), -1)
-        p1 = model.outcome_prob(taus, n_pi, stack, phi)
-        return np.sum((ys - p1) ** 2, axis=1)
-
-    def comb_az(spin):
-        """Where the comb scores place a spin: dips sit at tau_m = (2m-1) pi /
-        (omega_L + |(omega_L + A_z, A_perp)|), so a strong A_perp moves them as
-        if A_z were larger by about A_perp^2 / (2 omega_L)."""
-        return math.hypot(omega_l + spin[0], spin[1]) - omega_l
+        if all(abs(az_grid[i] - c) > 0.012 for c in combs):
+            combs.append(float(az_grid[i]))
 
     def az_at(comb, ap):
-        """A_z of the spin with this comb position and A_perp (comb_az inverted)."""
-        return math.sqrt(max((omega_l + comb) ** 2 - ap * ap, 0.0)) - omega_l
+        """A_z of the spin with this comb position and A_perp: its dips sit at
+        tau_m = (2m-1) pi / (omega_L + |(omega_L + A_z, A_perp)|)."""
+        return math.sqrt(max((model.omega_l + comb) ** 2 - ap * ap, 0.0)) - model.omega_l
 
-    def polish(spins, j):
-        """Coordinate refinement of spin j against the others held fixed.
+    def place(others):
+        """The best spin to add to ``others``, held fixed, and the squared
+        error with and without it.  1 - 2 p_1 is the envelope times one term
+        per spin, and a spin's term is its own 1 - 2 p_1 at T2^-1 = 0, so a
+        candidate is scored at one spin, not K."""
+        rest = 1.0 - 2.0 * model.outcome_prob(taus, n_pi, np.ravel(others), phi)
 
-        The coordinates are the comb position, which the dips pin down, and
-        A_perp at fixed comb position.  Two comb passes (coarse then fine) so
-        a spin first fitted against a contaminated residual can still
-        relocate by a few tens of kHz.
-        """
-        others = spins[:j] + spins[j + 1:]
-        comb_b, ap_b = comb_az(spins[j]), spins[j][1]
-        for span in (8 * POLISH_REACH, POLISH_REACH):
-            fine_comb = comb_b + np.linspace(-span, span, 17)
-            comb_b = float(fine_comb[np.argmin(sse([others + [(az_at(c, ap_b), ap_b)]
-                                                    for c in fine_comb]))])
-            fine_ap = np.clip(ap_b + np.linspace(-0.04, 0.04, 9), 0.02, 0.55)
-            ap_b = float(fine_ap[np.argmin(sse([others + [(az_at(comb_b, a), a)]
-                                                for a in fine_ap]))])
-        return az_at(comb_b, ap_b), ap_b
+        def errors(pairs):
+            """Squared error with each (comb position, A_perp) pair added."""
+            spins = np.array([(az_at(c, a), a) for c, a in pairs])
+            own = 1.0 - 2.0 * model.outcome_prob(taus, n_pi, spins, NuisanceParams())
+            return np.sum((ys - 0.5 * (1.0 - rest * own)) ** 2, axis=1)
+
+        trial = [(c, a) for c in combs for a in np.arange(0.10, 0.50, 0.04)]
+        comb, ap = trial[int(np.argmin(errors(trial)))]   # the first minimum, in scan order
+        for span in (8 * COMB_STEP, COMB_STEP):
+            line = comb + np.linspace(-span, span, 17)
+            comb = float(line[np.argmin(errors([(c, ap) for c in line]))])
+            err = errors([(comb, a) for a in AP_RIDGE])
+            ap = float(AP_RIDGE[np.argmin(err)])
+        return (az_at(comb, ap), ap), err.min(), np.sum((ys - 0.5 * (1.0 - rest)) ** 2)
+
+    def keeps(err, without):
+        return without > 1.5 * noise_sse and without - err >= GREEDY_REL_FLOOR * without
 
     active = []
-    base = sse([active])[0]
-    for _ in range(k_max):
-        if base <= 1.5 * noise_sse or not available:
+    while combs and len(active) < k_max:
+        spin, err, base = place(active)
+        if not keeps(err, base):
             break
-        trial = [(az_at(comb, float(ap)), float(ap)) for comb in available for ap in ap_grid]
-        errors = sse([active + [spin] for spin in trial])
-        best = int(np.argmin(errors))          # the first minimum, as in scan order
-        if (base - errors[best]) < GREEDY_REL_FLOOR * base:
-            break
-        active.append(polish(active + [trial[best]], len(active)))
-        base = sse([active])[0]
-        available = [a for a in available if abs(a - comb_az(active[-1])) > 0.012]
-
-    def eliminate(spins):
-        """Drop weak-coupling spins whose removal barely hurts the fit.
-
-        Spins above ``AP_SHIELD`` are never dropped: detectable couplings sit
-        well above the blind zone, while comb shadows fit far below it.
-        """
-        kept = list(spins)
-        for spin in sorted(spins, key=lambda s: s[1]):
-            if len(kept) <= 1 or spin[1] >= AP_SHIELD:
-                continue
-            without = [s for s in kept if s is not spin]
-            if sse([without])[0] <= max(1.15 * sse([kept])[0], 1.5 * noise_sse):
-                kept = without
-        return kept
-
-    # shadows corrupt backfitting, so prune before re-polishing each spin
-    # against the final configuration, then prune again
-    active = eliminate(active)
+        active.append(spin)
+        base = err
     for _ in range(2):
-        for j in range(len(active)):
-            active[j] = polish(active, j)
-    active = eliminate(active)
-    for j in range(len(active)):
-        active[j] = polish(active, j)
+        for spin in list(active):
+            j = active.index(spin)
+            others = active[:j] + active[j + 1:]
+            moved, err, without = place(others)
+            if not keeps(min(err, base), without):
+                active, base = others, without
+            elif err < base:
+                active[j], base = moved, err
     return active
 
 

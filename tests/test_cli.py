@@ -385,6 +385,27 @@ def test_select_rejects_malformed_checkpoint(tmp_path, capsys, fitted_run, field
     assert problem in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phi,problem", [
+    (5, "'phi' is not a list"),
+    (None, "'phi' is not a list"),
+    (["a", 1, 2], "'phi' is not three non-negative numbers"),
+    ([1, 2, 3, 4], "'phi' is not three non-negative numbers"),
+    ([1, 2], "'phi' is not three non-negative numbers"),
+    ([-1, 0, 0], "'phi' is not three non-negative numbers"),
+    ([True, 0, 0], "'phi' is not three non-negative numbers"),
+], ids=["number", "null", "string-entry", "four", "two", "negative", "bool-entry"])
+def test_plotdata_rejects_malformed_phi(tmp_path, capsys, fitted_run, phi, problem):
+    path, out = fitted_run
+    payload = json.loads((out / "checkpoint.json").read_text())
+    payload["extra"]["phi"] = phi
+    (tmp_path / "checkpoint.json").write_text(json.dumps(payload))
+    (tmp_path / "dataset.csv").write_bytes((out / "dataset.csv").read_bytes())
+    code = cli.main(["plotdata", "--config", path, "--run-dir", str(tmp_path),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert problem in capsys.readouterr().err
+
+
 def test_select_scores_an_empty_ground_truth(tmp_path, fitted_run):
     # vbi simulate writes "spins": [] for a config with no truth spins
     path, out = fitted_run

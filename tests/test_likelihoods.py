@@ -303,6 +303,26 @@ def test_outcome_prob_stacked_couplings_equal_row_calls(n_pi):
     assert np.array_equal(lk.toy_outcome_prob(taus, omegas[:, None, :]), rows)
 
 
+@pytest.mark.parametrize("eta_stretch", [1.0, 1.5])
+def test_outcome_prob_factorizes_over_spins(eta_stretch):
+    # 1 - 2 p_1 is the envelope times one term per spin, and a spin's term is
+    # its own 1 - 2 p_1 at T2^-1 = 0: the spin start scores a candidate so
+    rng = RngStream(43)
+    model = lk.DDModel(k_spins=6, omega_l=OMEGA_L, eta_stretch=eta_stretch)
+    taus = rng.uniform(6.0, 8.5, 256)
+    n_pi = np.where(np.arange(256) % 2, 24, 32)
+    phi = lk.NuisanceParams(t2_inv=2e-3, chi=1 / 1024, eta=0.01)
+    others = np.column_stack([rng.uniform(-0.3, 0.3, 5), rng.uniform(0.1, 0.5, 5)]).ravel()
+    candidates = np.column_stack([rng.uniform(-0.3, 0.3, 40), rng.uniform(0.0, 0.55, 40)])
+    candidates[0, 1] = 0.0
+    rest = 1.0 - 2.0 * model.outcome_prob(taus, n_pi, others, phi)
+    own = 1.0 - 2.0 * model.outcome_prob(taus, n_pi, candidates, lk.NuisanceParams())
+    joint = 1.0 - 2.0 * model.outcome_prob(
+        taus, n_pi, np.column_stack([np.tile(others, (40, 1)), candidates]), phi)
+    assert np.max(np.abs(joint - rest * own)) <= 1e-14
+    assert np.all(own[0] == 1.0)
+
+
 def test_outcome_prob_stack_memory_is_blocked():
     # 256 coupling vectors x 10 spins x 512 records: the kernel runs in row
     # blocks over one workspace instead of ~11 full (256, 10, 512) arrays

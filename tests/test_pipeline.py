@@ -3,7 +3,8 @@ import pytest
 
 from vbi.likelihoods import DDModel, NuisanceParams
 from vbi.pipeline import fit_dataset, greedy_comb_init
-from vbi.simulator import MODEL_DD, ScenarioConfig, simulate_dataset
+from vbi.probcore import RngStream
+from vbi.simulator import MODEL_DD, ScenarioConfig, simulate_dataset, strongly_coupled_bath
 
 TRUTH = np.array([(-0.15, 0.30), (0.02, 0.25), (0.17, 0.40)])
 
@@ -34,6 +35,22 @@ def test_greedy_comb_init_scores_at_the_records_n_pi():
 def test_greedy_comb_init_scores_with_the_fits_t2_inv():
     # scored at T2^-1 = 1e-4 instead, the start fills two more slots
     assert_greedy_finds_three_spins(az_tol=2e-3, t2_inv=2e-3)
+
+
+@pytest.mark.parametrize("seed", [5, 8])
+def test_greedy_comb_init_places_every_spin_of_a_criterion_6_bath(seed):
+    # a forward pass alone once left seed 5 with a true spin at the wrong point
+    # of its ridge, (116, 370) kHz for (131, 231), and seed 8 with seven spins
+    truth = strongly_coupled_bath(6, RngStream(7000 + seed), aperp_range=(0.15, 0.5),
+                                  min_delta_az=0.03)
+    scenario = ScenarioConfig(kind=MODEL_DD, theta_true=truth, m_points=512, repetitions=1024,
+                              n_pi=32, seed=8000 + seed)
+    phi = NuisanceParams(t2_inv=1e-4, chi=1 / 1024, eta=0.01)
+    spins = greedy_comb_init(simulate_dataset(scenario), DDModel(10, scenario.omega_l), phi, 10)
+    spins, truth = np.array(sorted(spins)), np.array(sorted(truth.reshape(-1, 2).tolist()))
+    assert spins.shape == (6, 2)
+    assert np.all(np.abs(spins[:, 0] - truth[:, 0]) <= 3e-3)
+    assert np.all(np.abs(spins[:, 1] - truth[:, 1]) <= 0.03)
 
 
 def test_fit_dataset_starts_chi_at_the_records_repetitions():
