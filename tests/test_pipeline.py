@@ -39,8 +39,9 @@ def test_greedy_comb_init_scores_with_the_fits_t2_inv():
 
 @pytest.mark.parametrize("seed", [5, 8])
 def test_greedy_comb_init_places_every_spin_of_a_criterion_6_bath(seed):
-    # a forward pass alone once left seed 5 with a true spin at the wrong point
-    # of its ridge, (116, 370) kHz for (131, 231), and seed 8 with seven spins
+    # refining each spin in place and pruning weak ones left seed 5 with a true
+    # spin at the wrong point of its ridge, (116, 370) kHz for (131, 231), and
+    # seed 8 with seven spins; placing each spin again against the others mends both
     truth = strongly_coupled_bath(6, RngStream(7000 + seed), aperp_range=(0.15, 0.5),
                                   min_delta_az=0.03)
     scenario = ScenarioConfig(kind=MODEL_DD, theta_true=truth, m_points=512, repetitions=1024,
