@@ -8,8 +8,7 @@ Public surface by module:
   inverse, log-density, and reverse-mode parameter gradients.
 * :mod:`vbi.likelihoods` -- toy multi-frequency Ramsey model and the
   dynamical-decoupling spin model with nuisance parameters.
-* :mod:`vbi.trainer`     -- Monte-Carlo ELBO, regularizers, ADAM training,
-  surrogate information gain.
+* :mod:`vbi.trainer`     -- Monte-Carlo ELBO, regularizers, ADAM training.
 * :mod:`vbi.smc`         -- particle-filter baseline and error metrics.
 * :mod:`vbi.selection`   -- one-pass thresholding of posterior draws, class
   probabilities, clustering, precision/recall/F1 and coupling-error scoring.
@@ -30,8 +29,7 @@ from .probcore import RngStream
 from .selection import build_sample_set, cluster_spins, ml_metrics
 from .simulator import ScenarioConfig, rayleigh_bounds, simulate_dataset
 from .smc import pf_estimate, pf_init, pf_update, sorted_square_error
-from .trainer import (PriorSpec, RegularizerSpec, TrainConfig, estimate_elbo,
-                      surrogate_information_gain, train)
+from .trainer import PriorSpec, RegularizerSpec, TrainConfig, estimate_elbo, train
 
 __version__ = "0.1.0"
 
@@ -42,6 +40,5 @@ __all__ = [
     "RngStream", "build_sample_set", "cluster_spins", "ml_metrics",
     "ScenarioConfig", "rayleigh_bounds", "simulate_dataset",
     "pf_estimate", "pf_init", "pf_update", "sorted_square_error",
-    "PriorSpec", "RegularizerSpec", "TrainConfig", "estimate_elbo",
-    "surrogate_information_gain", "train",
+    "PriorSpec", "RegularizerSpec", "TrainConfig", "estimate_elbo", "train",
 ]

@@ -41,7 +41,3 @@ class TrainingDiverged(RuntimeError):
         self.elbo = elbo
         self.trace = trace
         super().__init__(f"ELBO diverged at step {step}: {elbo:.6g}")
-
-
-class DegenerateAnsatzWarning(UserWarning):
-    """The ansatz has (numerically) zero spread; variance-based utilities return 0."""

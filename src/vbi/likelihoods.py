@@ -270,8 +270,7 @@ class ToyModel:
         """Per-hypothesis log-likelihood of one record; used by the particle filter.
 
         It omits log C(R, c), constant in omega, which cancels in the particle
-        weight normalisation and in the surrogate information gain's variance
-        over theta.  ``benchmarks/reference.py`` pins these values.
+        weight normalisation.  ``benchmarks/reference.py`` pins these values.
 
         The particles run in blocks laid out (frequencies, particles), so the
         cosine sum adds n contiguous rows instead of running a sum n elements

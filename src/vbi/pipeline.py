@@ -162,8 +162,12 @@ def load_config(path) -> dict:
         if key in ansatz and ansatz.get("family") != flows.STACKED:
             raise ConfigError(f"ansatz.{key} has no effect unless ansatz.family is "
                               f"{flows.STACKED!r}")
-    if model_setting(config, "repetitions") < 1:
-        raise ConfigError("model.repetitions must be >= 1")
+    # scenario keys with a bounded domain: (key, bound, whether the bound is allowed)
+    for key, bound, closed in (("repetitions", 1, True), ("n_pi", 1, True), ("T2_inv", 0, True),
+                               ("eta0", 0, True), ("eta_stretch", 0, False)):
+        value = model_setting(config, key)
+        if value < bound or value == bound and not closed:
+            raise ConfigError(f"model.{key} must be {'>=' if closed else '>'} {bound}")
     sc = selection_settings(config)
     if sc["draws"] < 1:
         raise ConfigError("selection.draws must be >= 1")

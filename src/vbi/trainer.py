@@ -11,16 +11,14 @@ its maximizer on every batch.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import flows
-from .errors import DegenerateAnsatzWarning, TrainingDiverged
+from .errors import TrainingDiverged
 from .likelihoods import NuisanceParams
 from .probcore import LOG_TWO_PI, RngStream, logistic, softplus, softplus_inv
-from .simulator import sample_records
 
 REG_NONE = "none"
 REG_L1 = "l1"
@@ -399,42 +397,3 @@ def train_from(config: TrainConfig, dataset, model, init_params: flows.FlowParam
                     trace.elbo[:i], trace.lr[:i], trace.phi[:i], trace.reg_sigma[:i]))
 
     return params.from_vector(x[:n_flow]), _raw_to_phi(x[n_flow:]), trace
-
-
-# ---------------------------------------------------------------------------
-# surrogate information gain
-# ---------------------------------------------------------------------------
-
-
-def surrogate_information_gain(x_control, params: flows.FlowParameters, model,
-                               n_y: int, n_theta: int, rng: RngStream, *,
-                               prior: PriorSpec | None = None,
-                               phi: NuisanceParams | None = None,
-                               repetitions: int = 1) -> float:
-    """Monte-Carlo E_y{ Var_theta[ log p(y | x, theta) ] } under the ansatz.
-
-    Outcomes y are drawn from the posterior predictive: theta' ~ q, then one
-    simulated record at the candidate control x = (tau, n_pi).  Returns 0 (with
-    a DegenerateAnsatzWarning) when the ansatz has collapsed to a point.
-    """
-    if n_theta < 2:
-        raise ValueError("variance needs n_theta >= 2")
-    if n_y < 2:
-        raise ValueError("need n_y >= 2 predictive draws")
-    tau, n_pi = x_control
-    prior = prior or PriorSpec()
-    phi = phi or NuisanceParams()
-    theta_rng, y_rng = rng.split(2)
-    thetas, _, _ = flows.sample_batch(params, n_theta, theta_rng)
-    thetas = prior.transform(thetas)
-    if float(np.max(thetas.std(axis=0))) < 1e-12:
-        warnings.warn("ansatz spread is numerically zero; SIG = 0", DegenerateAnsatzWarning)
-        return 0.0
-    pred_thetas, _, _ = flows.sample_batch(params, n_y, y_rng)
-    pred_thetas = prior.transform(pred_thetas)
-
-    variances = np.empty(n_y)
-    for j in range(n_y):
-        record, = sample_records(model, y_rng, [tau], n_pi, pred_thetas[j], phi, repetitions)
-        variances[j] = float(np.var(model.record_loglik(record, thetas, phi), ddof=1))
-    return float(variances.mean())

@@ -171,13 +171,17 @@ def test_wrong_type_rejected(tmp_path, capsys):
     ("toy", "ansatz", "n_layers", 9),
     ("dd", "ansatz", "hidden_width", 3),
     ("dd", "model", "repetitions", 0),
+    ("dd", "model", "T2_inv", -0.001),
+    ("dd", "model", "eta0", -0.02),
+    ("dd", "model", "eta_stretch", 0),
+    ("dd", "model", "n_pi", 0),
     ("dd", "selection", "draws", 0),
     ("dd", "selection", "mahalanobis_t", 0.0),
     ("dd", "plot", "draws", -1),
 ], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
         "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "n_list-below-1",
-        "ansatz.n_layers", "ansatz.hidden_width", "repetitions",
-        "selection.draws", "selection.mahalanobis_t", "plot.draws"])
+        "ansatz.n_layers", "ansatz.hidden_width", "repetitions", "T2_inv", "eta0",
+        "eta_stretch", "n_pi", "selection.draws", "selection.mahalanobis_t", "plot.draws"])
 def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
     config.setdefault(section, {})[key] = value

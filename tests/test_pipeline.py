@@ -54,6 +54,16 @@ def test_greedy_comb_init_places_every_spin_of_a_criterion_6_bath(seed):
     assert np.all(np.abs(spins[:, 1] - truth[:, 1]) <= 0.03)
 
 
+@pytest.mark.parametrize("n_pi", [24, 32])
+def test_greedy_comb_init_adds_no_spin_to_spin_free_data(n_pi):
+    # the matched filter's best score on the bare envelope stays below its floor
+    scenario = ScenarioConfig(kind=MODEL_DD, theta_true=np.zeros(0), m_points=512,
+                              repetitions=1024, n_pi=n_pi, seed=0)
+    phi = NuisanceParams(t2_inv=1e-4, chi=1 / 1024, eta=0.01)
+    assert greedy_comb_init(simulate_dataset(scenario), DDModel(10, scenario.omega_l), phi,
+                            10) == []
+
+
 def test_fit_dataset_starts_chi_at_the_records_repetitions():
     scenario = ScenarioConfig(kind=MODEL_DD, theta_true=TRUTH.ravel(), m_points=48,
                               repetitions=128, seed=5)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from vbi import flows, trainer
-from vbi.errors import DegenerateAnsatzWarning, TrainingDiverged
+from vbi.errors import TrainingDiverged
 from vbi.likelihoods import (DDModel, GaussianLocationModel, MeasurementRecord,
                              NuisanceParams, ToyModel)
 from vbi.probcore import RngStream
 from vbi.simulator import omega_larmor, sample_records
 from vbi.trainer import (PriorSpec, RegularizerSpec, TrainConfig, _fitted_sigma,
-                         _regularizer_terms, estimate_elbo, surrogate_information_gain,
-                         train)
+                         _regularizer_terms, estimate_elbo, train)
 
 OMEGA_L = omega_larmor(403.0)
 LOG_EVIDENCE = -0.5 * math.log(4 * math.pi)  # conjugate instance, -1.26551...
@@ -280,91 +279,3 @@ def test_trace_csv_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,elbo,lr,t2_inv,chi,eta,reg_sigma"
     assert len(lines) == 51
-
-
-# --------------------------------------------------------------------------
-# surrogate information gain
-# --------------------------------------------------------------------------
-
-
-def test_sig_zero_for_theta_independent_model():
-    class FlatModel:
-        n_nuisance = 0
-
-        def outcome_prob(self, tau, n_pi, theta, phi):
-            return np.full(np.shape(tau), 0.5)
-
-        def record_loglik(self, record, thetas, phi):
-            return np.zeros(np.atleast_2d(thetas).shape[0])
-
-    spec = flows.AnsatzSpec(d=1, family="mean-field")
-    params = flows.init_flow_parameters(spec, np.zeros(1), np.ones(1))
-    sig = surrogate_information_gain((1.0, 1), params, FlatModel(), n_y=16, n_theta=32,
-                                     rng=RngStream(1))
-    assert sig == pytest.approx(0.0, abs=1e-12)
-
-
-def test_sig_prefers_informative_controls():
-    # q = N(0.5, 0.01^2); the slope |dp/domega| = tau sin(omega tau)/2 vanishes
-    # at tau -> 0 and is near-maximal at tau = pi / (2 * 0.5)
-    model = ToyModel(n=1)
-    spec = flows.AnsatzSpec(d=1, family="mean-field")
-    params = flows.init_flow_parameters(spec, np.array([0.5]), np.array([0.01]))
-    rng_a = RngStream(42)
-    rng_b = RngStream(42)
-    sig_informative = surrogate_information_gain((np.pi, 1), params, model, n_y=64,
-                                                 n_theta=256, rng=rng_a, repetitions=512)
-    sig_dull = surrogate_information_gain((1e-3, 1), params, model, n_y=64, n_theta=256,
-                                          rng=rng_b, repetitions=512)
-    assert sig_informative > sig_dull
-
-    # brute-force nested Monte Carlo oracle at the informative control
-    rng = RngStream(7)
-    thetas = 0.5 + 0.01 * rng.standard_normal(400)
-    outer = []
-    for _ in range(250):
-        omega_star = 0.5 + 0.01 * float(rng.standard_normal())
-        c = int(rng.binomial(512, model.outcome_prob(np.pi, 1, np.array([omega_star]), None)))
-        rec = MeasurementRecord(np.pi, 1, 512, c / 512)
-        lls = model.record_loglik(rec, thetas[:, None])
-        outer.append(float(np.var(lls, ddof=1)))
-    oracle = float(np.mean(outer))
-    assert sig_informative == pytest.approx(oracle, rel=0.35)
-
-
-def test_sig_guards():
-    spec = flows.AnsatzSpec(d=1, family="mean-field")
-    params = flows.init_flow_parameters(spec, np.zeros(1), np.ones(1))
-    with pytest.raises(ValueError):
-        surrogate_information_gain((1.0, 1), params, ToyModel(1), n_y=8, n_theta=1,
-                                   rng=RngStream(0))
-    degenerate = flows.init_flow_parameters(spec, np.array([0.5]), np.array([1e-300]))
-    with pytest.warns(DegenerateAnsatzWarning):
-        sig = surrogate_information_gain((1.0, 1), degenerate, ToyModel(1), n_y=8, n_theta=8,
-                                         rng=RngStream(0))
-    assert sig == 0.0
-
-
-@pytest.mark.parametrize("n_pi", [24, 32])
-def test_sig_dd_model_equals_per_theta_loop(n_pi):
-    # SIG scores all theta draws in one stacked record_loglik call, which must
-    # equal scoring them one at a time, at the N_pi of the control
-    model = DDModel(k_spins=2, omega_l=omega_larmor(403.0))
-    spec = flows.AnsatzSpec(d=4, family="mean-field")
-    params = flows.init_flow_parameters(spec, np.array([-0.1, 0.3, 0.15, 0.25]),
-                                        np.full(4, 0.01))
-    sig = surrogate_information_gain((7.0, n_pi), params, model, n_y=8, n_theta=64,
-                                     rng=RngStream(3))
-
-    theta_rng, y_rng = RngStream(3).split(2)
-    thetas, _, _ = flows.sample_batch(params, 64, theta_rng)
-    preds, _, _ = flows.sample_batch(params, 8, y_rng)
-    phi = NuisanceParams()
-    variances = []
-    for pred in preds:
-        record, = sample_records(model, y_rng, [7.0], n_pi, pred, phi, 1)
-        assert record.n_pi == n_pi
-        ll = np.array([model.record_loglik(record, th, phi)[0] for th in thetas])
-        variances.append(float(np.var(ll, ddof=1)))
-    assert sig > 0.0
-    assert sig == float(np.mean(variances))
