@@ -162,12 +162,11 @@ def load_config(path) -> dict:
         if key in ansatz and ansatz.get("family") != flows.STACKED:
             raise ConfigError(f"ansatz.{key} has no effect unless ansatz.family is "
                               f"{flows.STACKED!r}")
-    # scenario keys with a bounded domain: (key, bound, whether the bound is allowed)
-    for key, bound, closed in (("repetitions", 1, True), ("n_pi", 1, True), ("T2_inv", 0, True),
-                               ("eta0", 0, True), ("eta_stretch", 0, False)):
-        value = model_setting(config, key)
-        if value < bound or value == bound and not closed:
-            raise ConfigError(f"model.{key} must be {'>=' if closed else '>'} {bound}")
+    for key, least in (("repetitions", 1), ("n_pi", 1), ("T2_inv", 0), ("eta0", 0)):
+        if model_setting(config, key) < least:
+            raise ConfigError(f"model.{key} must be >= {least}")
+    if model_setting(config, "eta_stretch") <= 0:
+        raise ConfigError("model.eta_stretch must be > 0")
     sc = selection_settings(config)
     if sc["draws"] < 1:
         raise ConfigError("selection.draws must be >= 1")
