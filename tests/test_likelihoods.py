@@ -301,14 +301,19 @@ def test_outcome_prob_stacked_couplings_equal_row_calls(n_pi):
     omegas = rng.uniform(0.0, 1.0, (33, 4))
     rows = np.stack([lk.toy_outcome_prob(taus, w) for w in omegas])
     assert np.array_equal(lk.toy_outcome_prob(taus, omegas[:, None, :]), rows)
+
+
+@pytest.mark.parametrize("n_pi", [24, 32])
+def test_dd_record_loglik_stack_equals_row_calls(n_pi):
     # DDModel.record_loglik scores a (B, 2K) stack as one-row calls do, at the
     # record's N_pi
+    rng = RngStream(41)
     model = lk.DDModel(k_spins=2, omega_l=OMEGA_L)
+    phi = lk.NuisanceParams(t2_inv=1e-4)
     stack = rng.uniform(-0.4, 0.4, (64, 4))
-    for n in (24, 32):
-        record = lk.MeasurementRecord(7.0, n, 1024, float(rng.uniform(0.0, 0.8)))
-        rows = np.concatenate([model.record_loglik(record, a, phi) for a in stack])
-        assert np.array_equal(model.record_loglik(record, stack, phi), rows)
+    record = lk.MeasurementRecord(7.0, n_pi, 1024, float(rng.uniform(0.0, 0.8)))
+    rows = np.concatenate([model.record_loglik(record, a, phi) for a in stack])
+    assert np.array_equal(model.record_loglik(record, stack, phi), rows)
 
 
 @pytest.mark.parametrize("eta_stretch", [1.0, 1.5])
