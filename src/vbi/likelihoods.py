@@ -24,8 +24,9 @@ short one over the few frequencies or spins:
 
 - ``ToyModel.batch_loglik`` blocks are (rows, frequencies, records), and its
   (rows, records) terms live in the workspace too;
-- ``ToyModel.record_loglik`` blocks are (frequencies, particles): one record
-  against many particles, so the particles are the long axis;
+- :func:`toy_outcome_prob` blocks are (frequencies, rows, taus): the
+  particle filter's one record against many particles and a simulation's one
+  vector against many taus both run over the contiguous (rows, taus) axis;
 - DD blocks are (rows, spins, records).
 """
 
@@ -153,27 +154,33 @@ def _sum_rows(x):
     return x[0]
 
 
-def _toy_prob(half, work, axis=-1, out=None):
-    """p = 1/2 + (1/2n) sum_i cos(omega_i tau) and the sines sin(omega_i tau).
-
-    ``half`` holds the half phases omega_i tau / 2 along its frequency axis
-    ``axis`` and becomes the sines; ``work`` supplies two more buffers of its
-    shape, and ``out``, if given, receives p.
-    """
-    sin, _, cos = _half_angle(half, *work)
-    p = cos.sum(axis=axis, out=out)
-    p /= 2.0 * half.shape[axis]
-    p += 0.5
-    return p, sin
-
-
 def toy_outcome_prob(tau, omega):
-    """p(+1 | tau, omega) = 1/2 + (1/2n) sum_i cos(omega_i tau)."""
+    """p(+1 | tau, omega) = 1/2 + (1/2n) sum_i cos(omega_i tau).
+
+    ``omega`` is one frequency vector or a (B, n) stack of them; a stack gives
+    one row per vector, shaped (B,) + tau's shape.  :func:`_sum_rows` adds the
+    n cosine rows of a block in the order ``np.sum`` adds a row-major (..., n)
+    array, on purpose: each value equals ``0.5 + cos.sum(axis=-1) / (2n)``
+    bit for bit, and the particle filter's weights, and so its results, move
+    with the last bit of this sum.
+    """
     omega = np.asarray(omega, dtype=float)
-    if omega.size == 0:
-        raise ModelError("toy model needs at least one frequency")
-    half = omega * (0.5 * np.asarray(tau, dtype=float))[..., None]
-    p, _ = _toy_prob(half, np.empty((2, *half.shape)))
+    if omega.ndim not in (1, 2) or omega.shape[-1] == 0:
+        raise ModelError("toy model needs a vector of at least one frequency, "
+                         "or a stack of them")
+    stack = np.atleast_2d(omega)
+    n_rows, n_freq = stack.shape
+    half_tau = 0.5 * np.ravel(tau)
+    p = np.empty((n_rows, half_tau.size))
+    for rows, cols, work in _row_blocks(n_rows, n_freq, half_tau.size, 3, split=True):
+        half, s, cos = work.reshape(3, n_freq, work.shape[1], work.shape[3])   # (n, b, t)
+        np.multiply(stack[rows].T[:, :, None], half_tau[cols], out=half)
+        _half_angle(half, s, cos)
+        p_block = _sum_rows(cos)
+        p_block /= 2.0 * n_freq
+        p_block += 0.5
+        p[rows, cols] = p_block
+    p = p.reshape(omega.shape[:-1] + np.shape(tau))
     return float(p) if p.ndim == 0 else p
 
 
@@ -188,13 +195,13 @@ class _ToyData:
 class ToyModel:
     """Ramsey probe dephasing under n unknown frequencies, binomial outcomes.
 
-    Both likelihoods take their cosines (and ``batch_loglik`` its sines) from
-    the half-angle ``tan`` pass of :func:`_half_angle` and run in the blocks
-    of :func:`_row_blocks`, laid out so that no full-size pass runs an inner
-    loop only n elements long.  ``batch_loglik`` is (rows, frequencies,
-    records): the phases, the cosine sum and the sine scaling run over
-    contiguous records, and the omega-gradient is one matmul over them.
-    ``record_loglik`` is (frequencies, particles).
+    ``outcome_prob`` is :func:`toy_outcome_prob`, and ``record_loglik`` the
+    binomial density at it.  ``batch_loglik`` keeps a kernel of its own for
+    the sines of its gradient: its blocks are (rows, frequencies, records),
+    so the phases, the cosine sum and the sine scaling run over contiguous
+    records, and the omega-gradient is one matmul over them.  Both kernels
+    take their cosines (and sines) from the half-angle ``tan`` pass of
+    :func:`_half_angle` and run in the blocks of :func:`_row_blocks`.
     """
 
     n_nuisance = 0
@@ -209,11 +216,8 @@ class ToyModel:
         return self.n
 
     def outcome_prob(self, tau, n_pi, omega, phi):
-        """p(+1) at the broadcast controls, one row per vector of an (B, n) stack."""
-        omega = np.asarray(omega, dtype=float)
-        shape = np.broadcast(tau, n_pi).shape
-        omega = omega.reshape(omega.shape[:-1] + (1,) * len(shape) + omega.shape[-1:])
-        return toy_outcome_prob(np.broadcast_to(np.asarray(tau, dtype=float), shape), omega)
+        """p(+1) of :func:`toy_outcome_prob` at the broadcast controls."""
+        return toy_outcome_prob(np.broadcast_to(tau, np.broadcast(tau, n_pi).shape), omega)
 
     def prepare(self, records) -> _ToyData:
         tau = np.array([r.tau_us for r in records])
@@ -247,7 +251,10 @@ class ToyModel:
             # free once the cosines are summed into p
             p, terms, dll_dp = (buf.reshape(-1)[:half.shape[0] * m].reshape(-1, m)
                                 for buf in (work[3], work[2], work[1]))
-            p, sin = _toy_prob(half, work[1:3], axis=1, out=p)
+            sin, _, cos = _half_angle(half, work[1], work[2])
+            cos.sum(axis=1, out=p)
+            p /= 2.0 * n_freq
+            p += 0.5
             np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
             np.log(p, out=terms)
             terms *= data.counts
@@ -267,37 +274,16 @@ class ToyModel:
         return ll, grad, np.zeros((n_rows, 0))
 
     def record_loglik(self, record: MeasurementRecord, omega, phi=None) -> np.ndarray:
-        """Per-hypothesis log-likelihood of one record; used by the particle filter.
+        """Binomial log-likelihood of one record at :meth:`outcome_prob`, one
+        value per row of a (B, n) stack; used by the particle filter.
 
         It omits log C(R, c), constant in omega, which cancels in the particle
         weight normalisation.  ``benchmarks/reference.py`` pins these values.
-
-        The particles run in blocks laid out (frequencies, particles), so the
-        cosine sum adds n contiguous rows instead of running a sum n elements
-        long per particle.  :func:`_sum_rows` adds the rows in the order
-        ``np.sum`` adds a particle's row-major frequencies, on purpose: each
-        value equals ``0.5 + cos.sum(axis=-1) / (2n)`` over (particles,
-        frequencies) bit for bit, and the particle filter's weights, and so
-        its results, move with the last bit of this sum.
         """
-        omega = np.atleast_2d(omega)
-        n_rows, n_freq = omega.shape
+        p = self.outcome_prob(record.tau_us, record.n_pi, np.atleast_2d(omega), phi)
+        np.clip(p, 1e-300, 1.0 - 1e-16, out=p)
         c = round(record.y * record.repetitions)
-        ll = np.empty(n_rows)
-        for rows, _, work in _row_blocks(n_rows, n_freq, 1, 3):
-            half, s, cos = work.reshape(3, n_freq, -1)                  # (n, b)
-            np.multiply(omega[rows].T, 0.5 * record.tau_us, out=half)
-            _half_angle(half, s, cos)
-            p = _sum_rows(cos)
-            p /= 2.0 * n_freq
-            p += 0.5
-            np.clip(p, 1e-300, 1.0 - 1e-16, out=p)
-            log_q = np.log1p(np.negative(p, out=s[0]), out=s[0])
-            log_q *= record.repetitions - c
-            np.log(p, out=p)
-            p *= c
-            np.add(p, log_q, out=ll[rows])
-        return ll
+        return c * np.log(p) + (record.repetitions - c) * np.log1p(-p)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,14 @@ _SCHEMAS = {kind: {section: {**_SHARED.get(section, {}), **own.get(section, {})}
 # an explicit ground truth leaves the keys of the generated one without effect
 _EXPLICIT_TRUTH = {"truth_spins": ("truth_seed", *_BATH_KEYS),
                    "truth_frequencies": ("truth_seed",)}
+# the domains of the numeric keys: the least value of each, and the keys that
+# must be above 0; every default lies inside its key's domain
+_AT_LEAST = {"model.m_points": 1, "model.repetitions": 1, "model.n_pi": 1, "model.T2_inv": 0,
+             "model.eta0": 0, "model.ansatz_spins": 1, "model.truth_count": 1,
+             "model.n_frequencies": 1, "selection.draws": 1, "bench.n_particles": 2,
+             "bench.trials": 1, "plot.draws": 0}
+_POSITIVE = ("model.eta_stretch", "model.tau_min_us", "model.tau_max_us",
+             "selection.mahalanobis_t")
 
 
 def _validate(config: dict, schema: dict, other: dict, kind: str, path="") -> None:
@@ -162,20 +170,16 @@ def load_config(path) -> dict:
         if key in ansatz and ansatz.get("family") != flows.STACKED:
             raise ConfigError(f"ansatz.{key} has no effect unless ansatz.family is "
                               f"{flows.STACKED!r}")
-    for key, least in (("repetitions", 1), ("n_pi", 1), ("T2_inv", 0), ("eta0", 0)):
-        if model_setting(config, key) < least:
-            raise ConfigError(f"model.{key} must be >= {least}")
-    if model_setting(config, "eta_stretch") <= 0:
-        raise ConfigError("model.eta_stretch must be > 0")
-    sc = selection_settings(config)
-    if sc["draws"] < 1:
-        raise ConfigError("selection.draws must be >= 1")
-    if sc["mahalanobis_t"] <= 0:
-        raise ConfigError("selection.mahalanobis_t must be > 0")
+    for name, least in _AT_LEAST.items():
+        section, key = name.split(".")
+        if config.get(section, {}).get(key, least) < least:
+            raise ConfigError(f"{name} must be >= {least}")
+    for name in _POSITIVE:
+        section, key = name.split(".")
+        if config.get(section, {}).get(key, 1) <= 0:
+            raise ConfigError(f"{name} must be > 0")
     if any(n < 1 for n in config.get("bench", {}).get("n_list", [])):
         raise ConfigError("bench.n_list entries must be >= 1")
-    if config.get("plot", {}).get("draws", 0) < 0:
-        raise ConfigError("plot.draws must be >= 0")
     return config
 
 

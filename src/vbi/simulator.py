@@ -191,14 +191,22 @@ def write_dataset_csv(path, records) -> None:
 
 
 def read_dataset_csv(path) -> list[MeasurementRecord]:
+    """The records of a dataset file.  Raises ValueError naming the file on a
+    wrong header or no records, and its line on a malformed or blank row."""
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != DATASET_HEADER:
-            raise ValueError(f"unexpected dataset header {header!r}")
-        for line in fh:
-            tau_s, n_pi, reps, y = line.strip().split(",")
-            records.append(MeasurementRecord(float(tau_s) * 1e6, int(n_pi), int(reps), float(y)))
+            raise ValueError(f"unexpected dataset header {header!r} in {path}")
+        for number, line in enumerate(fh, start=2):
+            try:
+                tau_s, n_pi, reps, y = line.strip().split(",")
+                records.append(MeasurementRecord(float(tau_s) * 1e6, int(n_pi), int(reps),
+                                                 float(y)))
+            except ValueError as err:
+                raise ValueError(f"dataset {path}, line {number} {line.strip()!r}: {err}") from None
+    if not records:
+        raise ValueError(f"dataset {path} has no records")
     return records
 
 

@@ -178,10 +178,20 @@ def test_wrong_type_rejected(tmp_path, capsys):
     ("dd", "selection", "draws", 0),
     ("dd", "selection", "mahalanobis_t", 0.0),
     ("dd", "plot", "draws", -1),
+    ("dd", "model", "ansatz_spins", 0),
+    ("dd", "model", "truth_count", 0),
+    ("toy", "model", "n_frequencies", 0),
+    ("dd", "model", "m_points", 0),
+    ("dd", "model", "tau_min_us", 0.0),
+    ("dd", "model", "tau_max_us", -1.0),
+    ("toy", "bench", "n_particles", 1),
+    ("toy", "bench", "trials", 0),
 ], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
         "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "n_list-below-1",
         "ansatz.n_layers", "ansatz.hidden_width", "repetitions", "T2_inv", "eta0",
-        "eta_stretch", "n_pi", "selection.draws", "selection.mahalanobis_t", "plot.draws"])
+        "eta_stretch", "n_pi", "selection.draws", "selection.mahalanobis_t", "plot.draws",
+        "ansatz_spins", "truth_count", "n_frequencies", "m_points", "tau_min_us",
+        "tau_max_us", "bench.n_particles", "bench.trials"])
 def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
     config.setdefault(section, {})[key] = value
@@ -259,6 +269,30 @@ def test_fit_rejects_mismatched_dataset(tmp_path, capsys):
     code = cli.main(["fit", "--config", dd_path, "--dataset", str(out / "dataset.csv"),
                      "--out", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["dd", "toy"])
+def test_fit_rejects_a_dataset_without_records(tmp_path, capsys, kind):
+    path = write_config(tmp_path, dd_config() if kind == "dd" else toy_config())
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("tau_s,n_pi,repetitions,y\n")
+    code = cli.main(["fit", "--config", path, "--dataset", str(dataset),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"dataset {dataset} has no records" in err
+
+
+@pytest.mark.parametrize("row", ["", "7e-06,32,128", "7e-06,32,128,half", "-7e-06,32,128,0.5"],
+                         ids=["blank", "three-fields", "not-a-number", "negative-tau"])
+def test_fit_names_the_line_of_a_bad_dataset_row(tmp_path, capsys, row):
+    path = write_config(tmp_path, dd_config())
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(f"tau_s,n_pi,repetitions,y\n7e-06,32,128,0.5\n{row}\n7.1e-06,32,128,0.5\n")
+    code = cli.main(["fit", "--config", path, "--dataset", str(dataset),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"dataset {dataset}, line 3 {row!r}: " in capsys.readouterr().err
 
 
 def test_fit_divergence_leaves_the_trace_and_no_checkpoint(tmp_path, capsys, monkeypatch,

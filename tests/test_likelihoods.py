@@ -36,6 +36,50 @@ def test_toy_prob_rejects_empty():
         lk.toy_outcome_prob(1.0, np.array([]))
 
 
+@pytest.mark.parametrize("omega", [np.zeros((3, 0)), np.float64(0.5), np.zeros((2, 1, 3))],
+                         ids=["empty-stack", "scalar", "three-axes"])
+def test_toy_prob_rejects_omega_that_is_not_a_vector_or_a_stack(omega):
+    with pytest.raises(ModelError):
+        lk.toy_outcome_prob(1.0, omega)
+
+
+def _row_major_toy_prob(taus, omegas):
+    """toy_outcome_prob as (rows, taus, frequencies) arrays summed by np.sum."""
+    half = omegas[:, None, :] * (0.5 * taus)[:, None]
+    _, _, cos = lk._half_angle(half, np.empty_like(half), np.empty_like(half))
+    return 0.5 + np.sum(cos, axis=-1) / (2.0 * omegas.shape[1])
+
+
+@pytest.mark.parametrize("n,rows", [(1, 70), (7, 20), (8, 20), (12, 20), (130, 3)])
+def test_toy_outcome_prob_is_bit_identical_to_the_row_major_sum(n, rows):
+    # several blocks each: of up to 64, 9, 8 and 5 rows, and at n = 130 blocks
+    # of one row split across the taus
+    rng = RngStream(80 + n)
+    omegas = rng.uniform(0.0, 1.0, (rows, n))
+    taus = 10.0 ** rng.uniform(-1, 3, 512)
+    expected = _row_major_toy_prob(taus, omegas)
+    assert np.array_equal(lk.toy_outcome_prob(taus, omegas), expected)
+    assert np.array_equal(lk.toy_outcome_prob(taus[:, None], omegas), expected[:, :, None])
+    assert np.array_equal(lk.toy_outcome_prob(taus, omegas[0]), expected[0])
+    assert np.array_equal(lk.toy_outcome_prob(taus[7], omegas), expected[:, 7])
+    assert lk.toy_outcome_prob(taus[7], omegas[0]) == expected[0, 7]
+
+
+@pytest.mark.parametrize("n", [1, 12, 130])
+def test_toy_outcome_prob_is_independent_of_block_size(monkeypatch, n):
+    rng = RngStream(53)
+    omegas = rng.uniform(0.0, 1.0, (37, n))
+    taus = 10.0 ** rng.uniform(-1, 3, 96)
+    results = []
+    # blocks of one element, of 40 taus of one row, of 5 rows (37 is not a
+    # multiple) and of all rows
+    for elems in (1, 40 * n, 5 * n * taus.size, 10 ** 9):
+        monkeypatch.setattr(lk, "_BLOCK_ELEMS", elems)
+        results.append(lk.toy_outcome_prob(taus, omegas))
+    for p in results[:-1]:
+        assert np.array_equal(p, results[-1])
+
+
 def test_half_angle_matches_libm_cos_and_sin():
     rng = RngStream(5)
     x = np.concatenate([rng.uniform(-2e4, 2e4, 200_000),
@@ -300,7 +344,7 @@ def test_outcome_prob_stacked_couplings_equal_row_calls(n_pi):
     # the toy model takes a stack of frequency vectors on a leading axis
     omegas = rng.uniform(0.0, 1.0, (33, 4))
     rows = np.stack([lk.toy_outcome_prob(taus, w) for w in omegas])
-    assert np.array_equal(lk.toy_outcome_prob(taus, omegas[:, None, :]), rows)
+    assert np.array_equal(lk.toy_outcome_prob(taus, omegas), rows)
 
 
 @pytest.mark.parametrize("n_pi", [24, 32])
