@@ -27,7 +27,10 @@ short one over the few frequencies or spins:
 - :func:`toy_outcome_prob` blocks are (frequencies, rows, taus): the
   particle filter's one record against many particles and a simulation's one
   vector against many taus both run over the contiguous (rows, taus) axis;
-- DD blocks are (rows, spins, records).
+- DD blocks are (spins, rows, records): the per-spin terms run over the
+  contiguous (rows, records) axis, each leave-one-out product multiplies whole
+  (rows, records) slices, and a block's record sums for the spin chain rule
+  land in one (3, B, K) array, so the chain rule runs once per call.
 """
 
 from __future__ import annotations
@@ -357,11 +360,13 @@ def _chebyshev(c, ladder, with_u: bool, buf):
     u = next(buf) if keep_u else None
     if first is not True:                            # (2 T_0, U_-1) = (2, 0) below the top bit
         np.copyto(x, 2.0, where=~first)
-    if u is not None:
+    if u is not None and len(ladder) == 1:
         np.copyto(u, first)
+    elif u is not None:                              # the first doubling's U_1 = 2 T_1 U_0
+        np.multiply(x, first, out=u)
     two_s2 = spare_x = spare_u = None
-    for bit in ladder[1:]:
-        if u is not None:
+    for i, bit in enumerate(ladder[1:]):
+        if i and u is not None:
             u *= x                                   # U_{2a-1} = 2 T_a U_{a-1}
         np.multiply(x, x, out=x)
         x -= 2.0                                     # 2 T_2a = (2 T_a)^2 - 2
@@ -434,10 +439,11 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
         half = np.cos(0.5 * (at(w) * at(rec.tau) + at(rec.beta)))
         den[unstable] = np.maximum(2.0 * half * half + (1.0 - at(m_z)) * sasb[unstable], 1e-300)
     inv_den = np.reciprocal(den, out=den)
-    numer *= rec.one_m_cb                            # (1 - cos alpha)(1 - cos beta)
+    # (1 - cos alpha)(1 - cos beta) / 4 and 4 sin^2(N phi / 2) = 2 - 2 T_N: the
+    # powers of two cancel exactly in g and in the factors below
+    numer *= 0.25 * rec.one_m_cb
     h, cheb_u = _chebyshev(c, rec.ladder, with_grad, buf)
-    h *= -0.25
-    h += 0.5                                         # sin^2(N phi / 2) = (1 - T_N) / 2
+    np.subtract(2.0, h, out=h)
     h *= inv_den
     g = np.multiply(numer, h, out=c)
     m_val = np.multiply(u, g, out=next(buf))
@@ -447,7 +453,7 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
         return m_val
 
     qn = cheb_u                                      # -dg/dcos phi =
-    qn *= 0.5 * rec.n_pi                             # (g + N/2 U_{N-1} numer) / (1 + cos phi)
+    qn *= 2.0 * rec.n_pi                             # (g + N/2 U_{N-1} numer) / (1 + cos phi)
     qn *= numer
     qn += g
     qn *= inv_den
@@ -457,7 +463,7 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     tau_dg_da = np.multiply(sa, rec.tau * rec.cb, out=numer)
     tau_dg_da += ca
     tau_dg_da *= qn                                  # through cos phi, plus
-    h *= rec.tau * rec.one_m_cb
+    h *= 0.25 * rec.tau * rec.one_m_cb
     h *= sa
     tau_dg_da += h                                   # through 1 - cos alpha
     return m_val, g, tau_dg_da, dg_dmz
@@ -466,12 +472,14 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
 def _row_blocks(n: int, k: int, m: int, buffers: int, split: bool = False):
     """(rows, cols, workspace) triples covering n independent rows of (k, m)
     elements in blocks of about ``_BLOCK_ELEMS`` elements, which share one
-    workspace of ``buffers`` contiguous (rows, k, cols) arrays.  Fresh
-    multi-megabyte temporaries would be page-faulted in on every call and
-    evicted from cache.  Rows are never split unless ``split``, which splits a
-    row of more than ``_BLOCK_ELEMS`` elements along m as well; a caller that
-    reduces over m must not ask for it.  An element's result does not depend
-    on the block size."""
+    workspace of ``buffers`` contiguous (rows, k, cols) arrays; a caller that
+    wants the k axis outermost, as the DD kernels and
+    :func:`toy_outcome_prob` do, reshapes each buffer to (k, rows, cols).
+    Fresh multi-megabyte temporaries would be page-faulted in on every call
+    and evicted from cache.  Rows are never split unless ``split``, which
+    splits a row of more than ``_BLOCK_ELEMS`` elements along m as well; a
+    caller that reduces over m must not ask for it.  An element's result does
+    not depend on the block size."""
     width = max(1, _BLOCK_ELEMS // k) if split and k * m > _BLOCK_ELEMS else max(m, 1)
     step = max(1, _BLOCK_ELEMS // max(1, k * width))
     flat = np.empty(buffers * min(step, n) * k * width)
@@ -514,9 +522,10 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
     prod = np.empty((stack.shape[0], tau.size))
     for rows, cols, work in _row_blocks(stack.shape[0], stack.shape[1] // 2, tau.size,
                                         _KERNEL_BUFFERS, split=True):
-        m = _spin_term_core(stack[rows, 0::2, None], stack[rows, 1::2, None], rec.take(cols),
-                            omega_l, False, work)
-        m.prod(axis=1, out=prod[rows, cols])
+        work = work.reshape(work.shape[0], work.shape[2], work.shape[1], work.shape[3])
+        m = _spin_term_core(stack[rows, 0::2].T[:, :, None], stack[rows, 1::2].T[:, :, None],
+                            rec.take(cols), omega_l, False, work)       # (K, b, cols)
+        m.prod(axis=0, out=prod[rows, cols])
     if np.any(np.isnan(prod)):
         raise ModelError(f"spin term is NaN for couplings={a}, tau={tau}, n_pi={n_pi}")
     envelope = np.multiply(n_pi, tau)
@@ -533,7 +542,7 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
 
 @dataclass(frozen=True)
 class _DDData:
-    rec: _DDRecords      # record constants shaped (1, 1, M) against (B, K, 1) couplings
+    rec: _DDRecords      # record constants shaped (1, 1, M) against (K, B, 1) couplings
     y: np.ndarray        # (M,)
     seq_time: np.ndarray  # (M,) N_pi * tau
 
@@ -580,7 +589,8 @@ class DDModel:
         """Summed Gaussian log-likelihood, dA (B, 2K) and dphi (B, 3).
 
         ``grad_weights`` (M,) weight the records in both gradients only.
-        The samples run in the row blocks of :func:`_row_blocks`.
+        The samples run in the spin-major row blocks of :func:`_row_blocks`;
+        the per-spin chain rule runs once, over all rows.
         """
         a = np.atleast_2d(np.asarray(a, dtype=float))
         if a.shape[1] != self.dim:
@@ -593,58 +603,16 @@ class DDModel:
             denv = -envelope * data.seq_time if self.eta_stretch == 1.0 else np.zeros_like(envelope)
         n = a.shape[0]
         ll = np.empty(n)
-        grad_a = np.empty_like(a)
         grad_phi = np.empty((n, 3))
-        for rows, _, work in _row_blocks(n, self.k_spins, data.y.size, _KERNEL_BUFFERS + 2):
-            ll[rows], grad_a[rows], grad_phi[rows] = self._block_loglik(
-                data, a[rows], phi, envelope, denv, grad_weights, work)
-        return ll, grad_a, grad_phi
-
-    def _block_loglik(self, data: _DDData, a, phi: NuisanceParams, envelope, denv, grad_weights,
-                      work):
-        global _variance_floor_count
-        a_z, a_perp = a[:, 0::2], a[:, 1::2]
-        m, g, tau_dg_da, dg_dmz = _spin_term_core(a_z[:, :, None], a_perp[:, :, None], data.rec,
-                                                  self.omega_l, True, work[:-2])  # (B, K, M)
-        # leave-one-out products keep gradients finite when some M_k ~ 0
-        # (running products one spin slice at a time: cumprod along the
-        # strided spin axis takes about three times as long)
-        loo, right = work[-2], work[-1]
-        k = self.k_spins
-        loo[:, :1] = 1.0
-        right[:, -1:] = 1.0
-        for j in range(1, k):
-            np.multiply(loo[:, j - 1], m[:, j - 1], out=loo[:, j])
-            np.multiply(right[:, k - j], m[:, k - j], out=right[:, k - j - 1])
-        prod = loo[:, -1] * m[:, -1] if k else np.ones((a.shape[0], data.y.size))
-        loo *= right
-        p1 = np.clip(0.5 * (1.0 - envelope * prod), 0.0, 1.0)
-        pq = p1 * (1.0 - p1)
-        var = phi.chi * pq + phi.eta ** 2
-        floored = var < VARIANCE_FLOOR
-        if np.any(floored):
-            _variance_floor_count += int(np.count_nonzero(floored))
-            var = np.maximum(var, VARIANCE_FLOOR)
-        resid = data.y[None, :] - p1
-        ll = (-0.5 * (LOG_TWO_PI + np.log(var)) - resid * resid / (2.0 * var)).sum(axis=1)
-
-        dll_dvar = -0.5 / var + resid * resid / (2.0 * var * var)
-        dll_dvar = np.where(floored, 0.0, dll_dvar)
-        if grad_weights is not None:
-            resid_w = resid * grad_weights
-            dll_dvar = dll_dvar * grad_weights
-        else:
-            resid_w = resid
-        dll_dp1 = resid_w / var + dll_dvar * phi.chi * (1.0 - 2.0 * p1)    # (B, M)
-
-        # dll/dM_k = dll/dp1 (-envelope / 2) prod_{j != k} M_j, summed over
-        # records against g and its partials before the per-spin factors
-        loo *= (dll_dp1 * (-0.5 * envelope))[:, None, :]
-        s_g = np.einsum("bkm,bkm->bk", loo, g)
-        s_a = np.einsum("bkm,bkm->bk", loo, tau_dg_da)
-        s_z = np.einsum("bkm,bkm->bk", loo, dg_dmz)
+        sums = np.empty((3, n, self.k_spins))
+        for rows, _, work in _row_blocks(n, self.k_spins, data.y.size, _KERNEL_BUFFERS + 1):
+            work = work.reshape(work.shape[0], work.shape[2], work.shape[1], work.shape[3])
+            self._block_loglik(data, a[rows], phi, envelope, denv, grad_weights, work,
+                               ll[rows], grad_phi[rows], sums[:, rows])
         # dM/dA = -(du/dA g + u (dg/dalpha dalpha/dA + dg/dm_z dm_z/dA)) with
         # dalpha/dA = tau (m_z, A_perp / w); s_a already carries the tau
+        s_g, s_a, s_z = sums
+        a_z, a_perp = a[:, 0::2], a[:, 1::2]
         w, m_z, u = _spin_axes(a_z, a_perp, self.omega_l)                   # (B, K)
         wsq = w * w
         du_daz, dmz_daz = -2.0 * u * m_z / w, u / w
@@ -652,12 +620,84 @@ class DDModel:
         grad_a = np.empty_like(a)
         grad_a[:, 0::2] = -(du_daz * s_g + u * (m_z * s_a + dmz_daz * s_z))
         grad_a[:, 1::2] = -(du_dap * s_g + u * (a_perp / w * s_a + dmz_dap * s_z))
-        grad_phi = np.stack([
-            (dll_dp1 * (-0.5 * denv[None, :] * prod)).sum(axis=1),
-            (dll_dvar * pq).sum(axis=1),
-            (dll_dvar * 2.0 * phi.eta).sum(axis=1),
-        ], axis=1)
         return ll, grad_a, grad_phi
+
+    def _block_loglik(self, data: _DDData, a, phi: NuisanceParams, envelope, denv, grad_weights,
+                      work, ll, grad_phi, sums):
+        """Fill ``ll``, ``grad_phi`` and the record sums ``sums`` = (s_g, s_a,
+        s_z) of the rows ``a`` from a spin-major (buffers, K, b, M) workspace."""
+        global _variance_floor_count
+        a_z, a_perp = a[:, 0::2].T[:, :, None], a[:, 1::2].T[:, :, None]        # (K, b, 1)
+        m, g, tau_dg_da, dg_dmz = _spin_term_core(a_z, a_perp, data.rec, self.omega_l, True,
+                                                  work[:-1])                      # (K, b, M)
+        # leave-one-out products keep gradients finite when some M_k ~ 0: prefix
+        # products, then one running suffix product, over contiguous spin slices
+        # (np.cumprod along the spin axis takes about seven times as long)
+        loo = work[-1]
+        k = self.k_spins
+        loo[:1] = 1.0
+        for j in range(1, k):
+            np.multiply(loo[j - 1], m[j - 1], out=loo[j])
+        prod = loo[-1] * m[-1] if k else np.ones((a.shape[0], data.y.size))
+        if k > 1:
+            right = m[-1].copy()
+            for j in range(k - 2, -1, -1):
+                loo[j] *= right
+                if j:
+                    right *= m[j]
+
+        # the (b, M) stage, in place: p1, its variance and the derivatives
+        p1 = np.multiply(prod, envelope)
+        np.subtract(1.0, p1, out=p1)
+        p1 *= 0.5
+        np.clip(p1, 0.0, 1.0, out=p1)
+        pq = np.subtract(1.0, p1)
+        pq *= p1
+        var = np.multiply(pq, phi.chi)
+        var += phi.eta ** 2
+        floored = var < VARIANCE_FLOOR
+        any_floored = floored.any()
+        if any_floored:
+            _variance_floor_count += int(np.count_nonzero(floored))
+            np.maximum(var, VARIANCE_FLOOR, out=var)
+        resid = np.subtract(data.y, p1)
+        resid_sq = np.multiply(resid, resid)
+        two_var = np.multiply(var, 2.0)
+        terms = np.log(var)
+        terms += LOG_TWO_PI
+        terms *= -0.5
+        quot = np.divide(resid_sq, two_var)
+        terms -= quot
+        terms.sum(axis=1, out=ll)
+
+        two_var *= var
+        np.divide(resid_sq, two_var, out=resid_sq)
+        dll_dvar = np.divide(-0.5, var, out=quot)
+        dll_dvar += resid_sq
+        if any_floored:
+            dll_dvar[floored] = 0.0
+        if grad_weights is not None:
+            resid *= grad_weights
+            dll_dvar *= grad_weights
+        dll_dp1 = np.divide(resid, var, out=resid)        # + dll/dvar chi (1 - 2 p1)
+        np.multiply(p1, 2.0, out=p1)
+        np.subtract(1.0, p1, out=p1)
+        p1 *= np.multiply(dll_dvar, phi.chi, out=two_var)
+        dll_dp1 += p1
+
+        # dll/dM_k = dll/dp1 (-envelope / 2) prod_{j != k} M_j, summed over
+        # records against g and its partials before the per-spin factors
+        loo *= np.multiply(dll_dp1, -0.5 * envelope, out=p1)
+        for s, factor in zip(sums, (g, tau_dg_da, dg_dmz)):
+            np.einsum("kbm,kbm->bk", loo, factor, out=s)
+        prod *= -0.5 * denv
+        prod *= dll_dp1
+        prod.sum(axis=1, out=grad_phi[:, 0])
+        pq *= dll_dvar
+        pq.sum(axis=1, out=grad_phi[:, 1])
+        dll_dvar *= 2.0
+        dll_dvar *= phi.eta
+        dll_dvar.sum(axis=1, out=grad_phi[:, 2])
 
     def record_loglik(self, record: MeasurementRecord, couplings, phi) -> np.ndarray:
         """Log-likelihood of one record under each row of a (B, 2K) stack."""

@@ -178,8 +178,15 @@ def load_config(path) -> dict:
         section, key = name.split(".")
         if config.get(section, {}).get(key, 1) <= 0:
             raise ConfigError(f"{name} must be > 0")
-    if any(n < 1 for n in config.get("bench", {}).get("n_list", [])):
+    bench = config.get("bench", {})
+    for key in ("n_list", "seeds"):
+        if bench.get(key) == []:
+            raise ConfigError(f"bench.{key} must not be empty")
+    if any(n < 1 for n in bench.get("n_list", [])):
         raise ConfigError("bench.n_list entries must be >= 1")
+    # the toy fit runs under the box prior [0, 1]^n, which holds no other truth
+    if any(not 0.0 <= f <= 1.0 for f in model.get("truth_frequencies", [])):
+        raise ConfigError("model.truth_frequencies entries must lie in [0, 1]")
     return config
 
 

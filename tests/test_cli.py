@@ -186,12 +186,17 @@ def test_wrong_type_rejected(tmp_path, capsys):
     ("dd", "model", "tau_max_us", -1.0),
     ("toy", "bench", "n_particles", 1),
     ("toy", "bench", "trials", 0),
+    ("toy", "bench", "seeds", []),
+    ("toy", "bench", "n_list", []),
+    ("toy", "model", "truth_frequencies", [0.3, 1.5]),
+    ("toy", "model", "truth_frequencies", [-0.2]),
 ], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
         "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "n_list-below-1",
         "ansatz.n_layers", "ansatz.hidden_width", "repetitions", "T2_inv", "eta0",
         "eta_stretch", "n_pi", "selection.draws", "selection.mahalanobis_t", "plot.draws",
         "ansatz_spins", "truth_count", "n_frequencies", "m_points", "tau_min_us",
-        "tau_max_us", "bench.n_particles", "bench.trials"])
+        "tau_max_us", "bench.n_particles", "bench.trials", "seeds-empty", "n_list-empty",
+        "truth_frequencies-above-1", "truth_frequencies-below-0"])
 def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
     config.setdefault(section, {})[key] = value

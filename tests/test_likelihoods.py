@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vbi import likelihoods as lk
 from vbi.errors import ModelError
-from vbi.probcore import RngStream, log_gaussian_density
+from vbi.probcore import LOG_TWO_PI, RngStream, log_gaussian_density
 from vbi.simulator import omega_larmor, resonance_delays, sample_records
 
 OMEGA_L = omega_larmor(403.0)
@@ -539,6 +539,155 @@ def test_batch_loglik_at_the_variance_floor():
     assert np.all(grad_phi[:, 1:] == 0.0)    # chi and eta
     for row, value in zip(a, ll):
         assert value == pytest.approx(lk.log_joint(records, row, phi, model), rel=1e-12)
+
+
+def _dd_stack(n_pi, k, rows=37, m=96, seed=61):
+    """Records at N_pi 24, 32 or both, and a (rows, 2K) coupling stack."""
+    rng = RngStream(seed)
+    n_pis = {"24": [24], "32": [32], "mixed": [24, 32]}[n_pi]
+    records = [lk.MeasurementRecord(float(t), n_pis[i % len(n_pis)], 1024,
+                                    float(rng.uniform(0.0, 0.8)))
+               for i, t in enumerate(np.linspace(5.5, 8.5, m))]
+    a = np.column_stack([rng.uniform(-0.3, 0.3, (rows, k)), rng.uniform(0.0, 0.5, (rows, k))])
+    return records, a.reshape(rows, 2, k).transpose(0, 2, 1).reshape(rows, 2 * k), rng
+
+
+@pytest.mark.parametrize("k", [0, 1, 10])
+@pytest.mark.parametrize("n_pi", ["24", "32", "mixed"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dd_batch_loglik_is_independent_of_block_size(monkeypatch, weighted, n_pi, k):
+    records, a, rng = _dd_stack(n_pi, k)
+    model = lk.DDModel(k_spins=k, omega_l=OMEGA_L)
+    data = model.prepare(records)
+    weights = rng.uniform(0.0, 2.0, len(records)) if weighted else None
+    phi = lk.NuisanceParams(t2_inv=2e-4, chi=1 / 1024, eta=0.01)
+    results = []
+    # blocks of 1 row, of 1 row again (K M elements), of 5 rows (37 is not a
+    # multiple) and of all rows
+    for elems in (1, k * len(records), 5 * k * len(records), 10 ** 9):
+        monkeypatch.setattr(lk, "_BLOCK_ELEMS", elems)
+        results.append(model.batch_loglik(data, a, phi, grad_weights=weights))
+    for got in results[:-1]:
+        assert all(np.array_equal(x, y) for x, y in zip(got, results[-1]))
+
+
+def _fresh_chebyshev(c, n_pi):
+    """2 T_N(c) and U_{N-1}(c) by the bit ladder of N, in fresh arrays."""
+    n = n_pi.astype(np.int64)
+    top = int(n.max()).bit_length() - 1
+    first = ((n >> top) & 1).astype(bool)
+    x = np.where(first, 2.0 * c, 2.0)
+    u = np.where(first, 1.0, 0.0) + 0.0 * c
+    for j in range(top - 1, -1, -1):
+        bit = ((n >> j) & 1).astype(bool)
+        u = u * x
+        x = x * x - 2.0
+        if bit.any():
+            two_s2 = 2.0 - 2.0 * (c * c)
+            stepped_u = (c * u * 2.0 + x) * 0.5
+            x = np.where(bit, c * x - two_s2 * u, x)
+            u = np.where(bit, stepped_u, u)
+    return x, u
+
+
+def _fresh_dd_batch_loglik(model, records, a, phi, weights):
+    """DDModel.batch_loglik as expressions over fresh (B, K, M) arrays, with an
+    explicit leave-one-out loop and the chain rule one row at a time."""
+    tau = np.array([r.tau_us for r in records])
+    n_pi = np.array([r.n_pi for r in records], dtype=float)
+    y = np.array([r.y for r in records])
+    beta = model.omega_l * tau
+    cb, sb = np.cos(beta), np.sin(beta)
+    one_m_cb = 1.0 - cb
+    a_z, a_perp = a[:, 0::2, None], a[:, 1::2, None]
+    r = a_z + model.omega_l
+    wsq = r * r + a_perp * a_perp
+    w = np.sqrt(wsq)
+    m_z, u = r / w, (a_perp * a_perp) / wsq
+    t = (0.5 * w) * tau
+    sa, numer, ca = lk._half_angle(t, np.empty_like(t), np.empty_like(t))
+    sasb = sa * sb
+    c = np.clip(ca * cb - sasb * m_z, -1.0, 1.0)
+    den = c + 1.0
+    half = np.cos(0.5 * (w * tau + beta))
+    fallback = np.maximum(2.0 * half * half + (1.0 - m_z) * sasb, 1e-300)
+    den = np.where(den < 1e-12, fallback, den)
+    inv_den = 1.0 / den
+    numer = numer * one_m_cb
+    two_t, cheb_u = _fresh_chebyshev(c, n_pi)
+    h = (two_t * -0.25 + 0.5) * inv_den
+    g = numer * h
+    m = np.clip(1.0 - u * g, -1.0, 1.0)
+    qn = ((cheb_u * (0.5 * n_pi)) * numer + g) * inv_den
+    dg_dmz = sasb * qn
+    tau_dg_da = ((sa * (tau * cb) + (ca * m_z) * (tau * sb)) * qn
+                 + (h * (tau * one_m_cb)) * sa)
+
+    n_rows, k = a.shape[0], model.k_spins
+    loo = np.empty_like(m)
+    for i in range(k):
+        left, right = np.ones_like(y), np.ones_like(y)
+        for j in range(i):
+            left = left * m[:, j]
+        for j in range(k - 1, i, -1):
+            right = right * m[:, j]
+        loo[:, i] = left * right
+    prod = np.ones((n_rows, y.size))
+    for j in range(k):
+        prod = prod * m[:, j]
+    envelope = np.exp(-(n_pi * tau * phi.t2_inv))
+    denv = (-envelope * (n_pi * tau * phi.t2_inv) / phi.t2_inv if phi.t2_inv > 0
+            else -envelope * (n_pi * tau))
+    p1 = np.clip(0.5 * (1.0 - envelope * prod), 0.0, 1.0)
+    pq = p1 * (1.0 - p1)
+    var = phi.chi * pq + phi.eta ** 2
+    floored = var < lk.VARIANCE_FLOOR
+    var = np.maximum(var, lk.VARIANCE_FLOOR)
+    resid = y - p1
+    ll = (-0.5 * (LOG_TWO_PI + np.log(var)) - resid * resid / (2.0 * var)).sum(axis=1)
+    dll_dvar = np.where(floored, 0.0, -0.5 / var + resid * resid / (2.0 * var * var))
+    resid_w = resid if weights is None else resid * weights
+    dll_dvar = dll_dvar if weights is None else dll_dvar * weights
+    dll_dp1 = resid_w / var + dll_dvar * phi.chi * (1.0 - 2.0 * p1)
+    loo = loo * (dll_dp1 * (-0.5 * envelope))[:, None, :]
+    s_g = np.einsum("bkm,bkm->bk", loo, g)
+    s_a = np.einsum("bkm,bkm->bk", loo, tau_dg_da)
+    s_z = np.einsum("bkm,bkm->bk", loo, dg_dmz)
+    grad_a = np.empty_like(a)
+    for b in range(n_rows):
+        w_b, m_z_b, u_b, ap = w[b, :, 0], m_z[b, :, 0], u[b, :, 0], a_perp[b, :, 0]
+        du_daz, dmz_daz = -2.0 * u_b * m_z_b / w_b, u_b / w_b
+        du_dap, dmz_dap = 2.0 * ap * m_z_b * m_z_b / (w_b * w_b), -m_z_b * ap / (w_b * w_b)
+        grad_a[b, 0::2] = -(du_daz * s_g[b] + u_b * (m_z_b * s_a[b] + dmz_daz * s_z[b]))
+        grad_a[b, 1::2] = -(du_dap * s_g[b] + u_b * (ap / w_b * s_a[b] + dmz_dap * s_z[b]))
+    grad_phi = np.stack([(dll_dp1 * (-0.5 * denv * prod)).sum(axis=1),
+                         (dll_dvar * pq).sum(axis=1),
+                         (dll_dvar * 2.0 * phi.eta).sum(axis=1)], axis=1)
+    return ll, grad_a, grad_phi
+
+
+@pytest.mark.parametrize("case", ["plain", "floored"])
+@pytest.mark.parametrize("n_pi", ["24", "32", "mixed"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dd_batch_loglik_equals_fresh_array_expressions(weighted, n_pi, case):
+    # the blocked, spin-major kernel runs the operations of these expressions,
+    # with exact power-of-two rescalings, so every output bit agrees
+    records, a, rng = _dd_stack(n_pi, 6, rows=20, m=128)
+    model = lk.DDModel(k_spins=6, omega_l=OMEGA_L)
+    weights = rng.uniform(0.0, 2.0, len(records)) if weighted else None
+    # chi is not a power of two, so the order of its products shows
+    phi = lk.NuisanceParams(t2_inv=2e-4, chi=1.3e-3, eta=0.01)
+    if case == "floored":
+        # no decay and no readout noise: the row without transverse coupling
+        # has p1 = 0, a variance of 0 and every record floored
+        a[3, 1::2] = 0.0
+        phi = lk.NuisanceParams(t2_inv=0.0, chi=1.3e-3, eta=0.0)
+    before = lk.variance_floor_count()
+    got = model.batch_loglik(model.prepare(records), a, phi, grad_weights=weights)
+    assert lk.variance_floor_count() - before == (len(records) if case == "floored" else 0)
+    expected = _fresh_dd_batch_loglik(model, records, a, phi, weights)
+    for name, x, y in zip(("ll", "grad_a", "grad_phi"), got, expected):
+        assert np.array_equal(x, y), name
 
 
 # --------------------------------------------------------------------------
