@@ -362,8 +362,8 @@ def _chebyshev(c, ladder, with_u: bool, buf):
         np.copyto(x, 2.0, where=~first)
     if u is not None and len(ladder) == 1:
         np.copyto(u, first)
-    elif u is not None:                              # the first doubling's U_1 = 2 T_1 U_0
-        np.multiply(x, first, out=u)
+    elif u is not None:                              # U_1 = 2 T_1 U_0 of the first doubling,
+        np.multiply(x, first, out=u)                 # and 2 T_0 U_-1 = 0 below the top bit
     two_s2 = spare_x = spare_u = None
     for i, bit in enumerate(ladder[1:]):
         if i and u is not None:
@@ -605,7 +605,7 @@ class DDModel:
         ll = np.empty(n)
         grad_phi = np.empty((n, 3))
         sums = np.empty((3, n, self.k_spins))
-        for rows, _, work in _row_blocks(n, self.k_spins, data.y.size, _KERNEL_BUFFERS + 1):
+        for rows, _, work in _row_blocks(n, self.k_spins, data.y.size, _KERNEL_BUFFERS + 2):
             work = work.reshape(work.shape[0], work.shape[2], work.shape[1], work.shape[3])
             self._block_loglik(data, a[rows], phi, envelope, denv, grad_weights, work,
                                ll[rows], grad_phi[rows], sums[:, rows])
@@ -629,22 +629,19 @@ class DDModel:
         global _variance_floor_count
         a_z, a_perp = a[:, 0::2].T[:, :, None], a[:, 1::2].T[:, :, None]        # (K, b, 1)
         m, g, tau_dg_da, dg_dmz = _spin_term_core(a_z, a_perp, data.rec, self.omega_l, True,
-                                                  work[:-1])                      # (K, b, M)
+                                                  work[:-2])                      # (K, b, M)
         # leave-one-out products keep gradients finite when some M_k ~ 0: prefix
-        # products, then one running suffix product, over contiguous spin slices
-        # (np.cumprod along the spin axis takes about seven times as long)
-        loo = work[-1]
+        # and suffix products over contiguous spin slices (np.cumprod along
+        # the spin axis takes about seven times as long)
+        loo, right = work[-2], work[-1]
         k = self.k_spins
         loo[:1] = 1.0
+        right[-1:] = 1.0
         for j in range(1, k):
             np.multiply(loo[j - 1], m[j - 1], out=loo[j])
+            np.multiply(right[k - j], m[k - j], out=right[k - j - 1])
         prod = loo[-1] * m[-1] if k else np.ones((a.shape[0], data.y.size))
-        if k > 1:
-            right = m[-1].copy()
-            for j in range(k - 2, -1, -1):
-                loo[j] *= right
-                if j:
-                    right *= m[j]
+        loo *= right
 
         # the (b, M) stage, in place: p1, its variance and the derivatives
         p1 = np.multiply(prod, envelope)

@@ -577,7 +577,7 @@ def _fresh_chebyshev(c, n_pi):
     top = int(n.max()).bit_length() - 1
     first = ((n >> top) & 1).astype(bool)
     x = np.where(first, 2.0 * c, 2.0)
-    u = np.where(first, 1.0, 0.0) + 0.0 * c
+    u = np.broadcast_to(np.where(first, 1.0, 0.0), c.shape)
     for j in range(top - 1, -1, -1):
         bit = ((n >> j) & 1).astype(bool)
         u = u * x
