@@ -14,16 +14,20 @@ recorded outcome (+1, or b = 1 for DD), one row per vector of a (B, dim) stack;
 ``record_loglik(record, theta, phi)``, one record's log-likelihood per stack
 row; and ``batch_loglik(data, theta, phi, grad_weights)`` with its gradients.
 
-Every cosine and sine over a full-size array comes from one ``tan`` pass
-(:func:`_half_angle`): float64 ``np.tan`` is vectorised where ``np.cos`` and
-``np.sin`` may not be (about 2 against 20-30 ns per element with numpy 2.4 on
-an AVX-512 Xeon).  The kernels run in blocks of about ``_BLOCK_ELEMS``
-elements over one reused workspace (:func:`_row_blocks`), laid out so that
-every full-size pass runs an inner loop over a long contiguous axis, not a
-short one over the few frequencies or spins:
+Every trigonometric value over a full-size array comes from one ``tan`` pass
+over the half angle, t = tan(x / 2): float64 ``np.tan`` is vectorised where
+``np.cos`` and ``np.sin`` may not be (about 2 against 20-30 ns per element
+with numpy 2.4 on an AVX-512 Xeon).  :func:`_half_angle` forms sin x,
+1 - cos x and cos x from t for the DD term and :func:`toy_outcome_prob`;
+``ToyModel.batch_loglik`` needs only q = cos^2(x / 2) = 1 / (1 + t^2) and
+t q = sin(x / 2) cos(x / 2).  The kernels run in blocks of about
+``_BLOCK_ELEMS`` elements over one reused workspace (:func:`_row_blocks`),
+laid out so that every full-size pass runs an inner loop over a long
+contiguous axis, not a short one over the few frequencies or spins:
 
-- ``ToyModel.batch_loglik`` blocks are (rows, frequencies, records), and its
-  (rows, records) terms live in the workspace too;
+- ``ToyModel.batch_loglik`` blocks are (rows, frequencies, records): t, q, the
+  sum of q over the frequencies and t q each take one pass over contiguous
+  records, and its (rows, records) terms live in the workspace too;
 - :func:`toy_outcome_prob` blocks are (frequencies, rows, taus): the
   particle filter's one record against many particles and a simulation's one
   vector against many taus both run over the contiguous (rows, taus) axis;
@@ -106,18 +110,21 @@ def gaussian_outcome_loglik(y, p, chi, eta):
     return log_gaussian_density(y, p, var)
 
 
-def _half_angle(t, s, c):
+def _half_angle(t, s, c, with_sin: bool = True):
     """sin x, 1 - cos x and cos x from one ``tan`` pass over t = x / 2.
 
     With t = tan(x / 2) and r = 2 / (1 + t^2): sin x = t r, 1 - cos x = t^2 r
     (free of cancellation) and cos x = 1 - t^2 r.  In place: ``t`` becomes
     sin x, and ``s`` and ``c``, buffers of its shape, hold 1 - cos x and cos x.
+    Without ``with_sin`` the sine pass is skipped and ``t`` keeps tan(x / 2);
+    the other two values are the same bits either way.
     """
     np.tan(t, out=t)
     np.multiply(t, t, out=s)
     np.add(s, 1.0, out=c)
     np.divide(2.0, c, out=c)                         # 2 / (1 + t^2)
-    np.multiply(t, c, out=t)                         # sin x
+    if with_sin:
+        np.multiply(t, c, out=t)                     # sin x
     np.multiply(s, c, out=s)                         # 1 - cos x
     np.subtract(1.0, s, out=c)                       # cos x
     return t, s, c
@@ -178,7 +185,7 @@ def toy_outcome_prob(tau, omega):
     for rows, cols, work in _row_blocks(n_rows, n_freq, half_tau.size, 3, split=True):
         half, s, cos = work.reshape(3, n_freq, work.shape[1], work.shape[3])   # (n, b, t)
         np.multiply(stack[rows].T[:, :, None], half_tau[cols], out=half)
-        _half_angle(half, s, cos)
+        _half_angle(half, s, cos, with_sin=False)
         p_block = _sum_rows(cos)
         p_block /= 2.0 * n_freq
         p_block += 0.5
@@ -199,12 +206,19 @@ class ToyModel:
     """Ramsey probe dephasing under n unknown frequencies, binomial outcomes.
 
     ``outcome_prob`` is :func:`toy_outcome_prob`, and ``record_loglik`` the
-    binomial density at it.  ``batch_loglik`` keeps a kernel of its own for
-    the sines of its gradient: its blocks are (rows, frequencies, records),
-    so the phases, the cosine sum and the sine scaling run over contiguous
-    records, and the omega-gradient is one matmul over them.  Both kernels
-    take their cosines (and sines) from the half-angle ``tan`` pass of
-    :func:`_half_angle` and run in the blocks of :func:`_row_blocks`.
+    binomial density at it.  ``batch_loglik`` keeps a kernel of its own in the
+    cos^2 form: with t = tan(omega_i tau / 2) and q = 1 / (1 + t^2) =
+    cos^2(omega_i tau / 2),
+
+        p = (1/n) sum_i q_i,    dp/domega_i = -(tau / n) t_i q_i.
+
+    p equals 1/2 + (1/2n) sum_i cos(omega_i tau), but as a mean of
+    nonnegative terms it does not cancel as p -> 0, where the cosine form
+    subtracts nearly equal halves.  Its blocks are (rows, frequencies,
+    records), so t, q, the sum of q and t q run over contiguous records, and
+    the omega-gradient is one matmul of t q against dll/dp, which carries
+    the -tau / n factor and the gradient weights.  Both kernels run in the
+    blocks of :func:`_row_blocks`.
     """
 
     n_nuisance = 0
@@ -242,22 +256,27 @@ class ToyModel:
         omega = np.atleast_2d(omega)
         n_rows, n_freq = omega.shape
         half_tau = 0.5 * data.tau
-        dp_dsin = data.tau / (-2.0 * self.n)             # dp/domega_i = -tau sin_i / (2n)
+        dp_scale = data.tau / -n_freq                    # dp/domega_i = -(tau/n) t_i q_i
+        if grad_weights is not None:
+            dp_scale = dp_scale * grad_weights
         failures = data.reps - data.counts
         m = data.tau.size
         ll = np.empty(n_rows)
         grad = np.empty((n_rows, n_freq))
         for rows, _, work in _row_blocks(n_rows, n_freq, m, _TOY_BUFFERS):
-            half = np.multiply(omega[rows, :, None], half_tau, out=work[0])    # (b, n, M)
-            # the (b, M) terms take the head of a (b, n, M) buffer each: p the
-            # spare one, the others those of cos x and 1 - cos x, which are
-            # free once the cosines are summed into p
-            p, terms, dll_dp = (buf.reshape(-1)[:half.shape[0] * m].reshape(-1, m)
-                                for buf in (work[3], work[2], work[1]))
-            sin, _, cos = _half_angle(half, work[1], work[2])
-            cos.sum(axis=1, out=p)
-            p /= 2.0 * n_freq
-            p += 0.5
+            t = np.multiply(omega[rows, :, None], half_tau, out=work[0])       # (b, n, M)
+            np.tan(t, out=t)
+            q = np.multiply(t, t, out=work[1])
+            q += 1.0
+            np.reciprocal(q, out=q)                      # cos^2(x / 2)
+            # the (b, M) terms take the head of a (b, n, M) buffer each: p and
+            # the log terms the spare ones, dll/dp that of q, which is free
+            # once summed into p and folded into t q
+            p, terms, dll_dp = (buf.reshape(-1)[:t.shape[0] * m].reshape(-1, m)
+                                for buf in (work[2], work[3], work[1]))
+            q.sum(axis=1, out=p)
+            t *= q                                       # sin(x / 2) cos(x / 2)
+            p /= n_freq
             np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
             np.log(p, out=terms)
             terms *= data.counts
@@ -270,10 +289,8 @@ class ToyModel:
             np.subtract(1.0, p, out=dll_dp)
             np.divide(failures, dll_dp, out=dll_dp)
             np.subtract(terms, dll_dp, out=dll_dp)                        # dll/dp
-            if grad_weights is not None:
-                dll_dp *= grad_weights
-            dp_dw = np.multiply(sin, dp_dsin, out=sin)                       # (b, n, M)
-            np.matmul(dp_dw, dll_dp[:, :, None], out=grad[rows, :, None])
+            dll_dp *= dp_scale
+            np.matmul(t, dll_dp[:, :, None], out=grad[rows, :, None])
         return ll, grad, np.zeros((n_rows, 0))
 
     def record_loglik(self, record: MeasurementRecord, omega, phi=None) -> np.ndarray:

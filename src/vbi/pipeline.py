@@ -51,7 +51,8 @@ class ConfigError(Exception):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json.load reads a bare NaN, which every domain comparison lets through
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
 def _is_int(value) -> bool:

@@ -206,6 +206,31 @@ def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,section,key,value", [
+    ("dd", "model", "T2_inv", float("nan")),
+    ("dd", "train", "lr_start", float("nan")),
+    ("dd", "model", "aperp_range", [float("nan"), 0.5]),
+    ("dd", "model", "truth_spins", [[0.1, 0.2], [0.3, float("nan")]]),
+    ("toy", "model", "truth_frequencies", [0.5, float("nan")]),
+], ids=["T2_inv", "lr_start", "aperp_range", "truth_spins", "truth_frequencies"])
+def test_nan_config_number_rejected(tmp_path, kind, section, key, value):
+    # json.dumps writes NaN as the bare token NaN, which json.load reads back
+    config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
+    config.setdefault(section, {})[key] = value
+    with pytest.raises(pipeline.ConfigError, match=f"{section}.{key} must be"):
+        pipeline.load_config(write_config(tmp_path, config))
+
+
+def test_simulate_rejects_nan_config_naming_the_key(tmp_path, capsys):
+    config = {"model": {"kind": "dd", "B_gauss": 403.0, "T2_inv": float("nan"),
+                        "aperp_range": [float("nan"), 0.5]}}
+    code = cli.main(["simulate", "--config", write_config(tmp_path, config),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "model.T2_inv must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(tmp_path / "nope.json")])
     assert code == 2

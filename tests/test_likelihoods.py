@@ -134,6 +134,23 @@ def test_sum_rows_adds_in_numpy_row_major_order():
         assert np.array_equal(lk._sum_rows(x), expected), k
 
 
+def _fresh_toy_batch_loglik(data, omega, weights=None):
+    """ToyModel.batch_loglik in the cos^2 form on fresh (B, n, M) arrays, with
+    p before its clip: q = 1 / (1 + t^2) = cos^2(x / 2) for t = tan(x / 2),
+    p = sum q / n and dp/domega = -(tau / n) t q."""
+    n = omega.shape[1]
+    t = np.tan(omega[:, :, None] * (0.5 * data.tau))
+    q = 1.0 / (t * t + 1.0)
+    p_raw = q.sum(axis=1) / n
+    p = np.clip(p_raw, 1e-12, 1.0 - 1e-12)
+    failures = data.reps - data.counts
+    ll = (data.log_binom + data.counts * np.log(p) + failures * np.log1p(-p)).sum(axis=1)
+    dll_dp = data.counts / p - failures / (1.0 - p)
+    dp_scale = data.tau / -n if weights is None else data.tau / -n * weights
+    grad = np.matmul(t * q, (dll_dp * dp_scale)[:, :, None])[:, :, 0]
+    return ll, grad, p_raw
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 12])
 def test_toy_batch_loglik_equals_fresh_array_expressions(n, weighted):
@@ -142,17 +159,25 @@ def test_toy_batch_loglik_equals_fresh_array_expressions(n, weighted):
     data = model.prepare(records)
     omega = rng.uniform(0.0, 1.0, (70, n))
     weights = rng.uniform(0.0, 2.0, len(records)) if weighted else None
-    half = omega[:, :, None] * (0.5 * data.tau)
-    sin, _, cos = lk._half_angle(half, np.empty_like(half), np.empty_like(half))
-    p = np.clip(0.5 + cos.sum(axis=1) / (2.0 * n), 1e-12, 1.0 - 1e-12)
-    failures = data.reps - data.counts
-    ll = (data.log_binom + data.counts * np.log(p) + failures * np.log1p(-p)).sum(axis=1)
-    dll_dp = data.counts / p - failures / (1.0 - p)
-    if weighted:
-        dll_dp *= weights
-    grad = np.matmul(sin * (data.tau / (-2.0 * n)), dll_dp[:, :, None])[:, :, 0]
+    ll, grad, _ = _fresh_toy_batch_loglik(data, omega, weights)
     got_ll, got_grad, _ = model.batch_loglik(data, omega, grad_weights=weights)
     assert np.array_equal(got_ll, ll) and np.array_equal(got_grad, grad)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_toy_batch_loglik_is_finite_where_every_phase_is_pi(n):
+    # at omega_i tau = pi for every i, tan(x / 2) is about 1.6e16 and p about
+    # 4e-33: q = 1 / (1 + t^2) neither overflows nor cancels
+    model, records, _ = _toy_data(n, m=24)
+    data = model.prepare(records)
+    omega = np.repeat(np.pi / data.tau[::5, None], n, axis=1)              # (5, n)
+    ll, grad, _ = model.batch_loglik(data, omega)
+    assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad))
+    fresh_ll, fresh_grad, p = _fresh_toy_batch_loglik(data, omega)
+    assert np.array_equal(ll, fresh_ll) and np.array_equal(grad, fresh_grad)
+    at_pi = p[np.arange(5), np.arange(0, data.tau.size, 5)]
+    assert np.all(at_pi < 1e-30)
+    assert np.allclose(p, lk.toy_outcome_prob(data.tau, omega), rtol=0.0, atol=1e-15)
 
 
 def test_toy_record_loglik_rows_equal_single_particle_calls():
