@@ -18,8 +18,8 @@ Every trigonometric value over a full-size array comes from one ``tan`` pass
 over the half angle, t = tan(x / 2): float64 ``np.tan`` is vectorised where
 ``np.cos`` and ``np.sin`` may not be (about 2 against 20-30 ns per element
 with numpy 2.4 on an AVX-512 Xeon).  :func:`_half_angle` forms sin x,
-1 - cos x and cos x from t for the DD term and :func:`toy_outcome_prob`;
-``ToyModel.batch_loglik`` needs only q = cos^2(x / 2) = 1 / (1 + t^2) and
+1 - cos x and cos x from t for the DD term; both toy kernels need only
+q = cos^2(x / 2) = 1 / (1 + t^2), and ``ToyModel.batch_loglik`` also
 t q = sin(x / 2) cos(x / 2).  The kernels run in blocks of about
 ``_BLOCK_ELEMS`` elements over one reused workspace (:func:`_row_blocks`),
 laid out so that every full-size pass runs an inner loop over a long
@@ -30,7 +30,9 @@ contiguous axis, not a short one over the few frequencies or spins:
   records, and its (rows, records) terms live in the workspace too;
 - :func:`toy_outcome_prob` blocks are (frequencies, rows, taus): the
   particle filter's one record against many particles and a simulation's one
-  vector against many taus both run over the contiguous (rows, taus) axis;
+  vector against many taus both run over the contiguous (rows, taus) axis,
+  and the frequency rows of q are added in the order ``batch_loglik`` adds
+  them, so the two kernels give the same p bit for bit;
 - DD blocks are (spins, rows, records): the per-spin terms run over the
   contiguous (rows, records) axis, each leave-one-out product multiplies whole
   (rows, records) slices, and a block's record sums for the spin chain rule
@@ -110,21 +112,18 @@ def gaussian_outcome_loglik(y, p, chi, eta):
     return log_gaussian_density(y, p, var)
 
 
-def _half_angle(t, s, c, with_sin: bool = True):
+def _half_angle(t, s, c):
     """sin x, 1 - cos x and cos x from one ``tan`` pass over t = x / 2.
 
     With t = tan(x / 2) and r = 2 / (1 + t^2): sin x = t r, 1 - cos x = t^2 r
     (free of cancellation) and cos x = 1 - t^2 r.  In place: ``t`` becomes
     sin x, and ``s`` and ``c``, buffers of its shape, hold 1 - cos x and cos x.
-    Without ``with_sin`` the sine pass is skipped and ``t`` keeps tan(x / 2);
-    the other two values are the same bits either way.
     """
     np.tan(t, out=t)
     np.multiply(t, t, out=s)
     np.add(s, 1.0, out=c)
     np.divide(2.0, c, out=c)                         # 2 / (1 + t^2)
-    if with_sin:
-        np.multiply(t, c, out=t)                     # sin x
+    np.multiply(t, c, out=t)                         # sin x
     np.multiply(s, c, out=s)                         # 1 - cos x
     np.subtract(1.0, s, out=c)                       # cos x
     return t, s, c
@@ -135,44 +134,17 @@ def _half_angle(t, s, c, with_sin: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def _sum_rows(x):
-    """The sum over the rows of a (k, b) array, added in place in ``x``.
-
-    The rows are added in the order numpy's pairwise summation adds a
-    contiguous axis of k values: a left fold below 8 rows, eight interleaved
-    partial sums combined as ((0+1)+(2+3))+((4+5)+(6+7)) and then the
-    leftover rows up to 128 rows, and above that two halves split at a
-    multiple of 8.  So each column sum equals ``np.sum`` over the same values
-    stored as a contiguous (b, k) array, summed along k, bit for bit, from
-    k - 1 row additions.  Returns a view of row 0.
-    """
-    k = x.shape[0]
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        total = _sum_rows(x[:half])
-        total += _sum_rows(x[half:])
-        return total
-    tail = 0 if k < 8 else k - k % 8
-    if tail:
-        for i in range(8, tail):
-            x[i % 8] += x[i]
-        for step in (1, 2, 4):
-            for i in range(0, 8, 2 * step):
-                x[i] += x[i + step]
-    for i in range(max(tail, 1), k):
-        x[0] += x[i]
-    return x[0]
-
-
 def toy_outcome_prob(tau, omega):
-    """p(+1 | tau, omega) = 1/2 + (1/2n) sum_i cos(omega_i tau).
+    """p(+1 | tau, omega) = (1/n) sum_i cos^2(omega_i tau / 2).
 
     ``omega`` is one frequency vector or a (B, n) stack of them; a stack gives
-    one row per vector, shaped (B,) + tau's shape.  :func:`_sum_rows` adds the
-    n cosine rows of a block in the order ``np.sum`` adds a row-major (..., n)
-    array, on purpose: each value equals ``0.5 + cos.sum(axis=-1) / (2n)``
-    bit for bit, and the particle filter's weights, and so its results, move
-    with the last bit of this sum.
+    one row per vector, shaped (B,) + tau's shape.  q = cos^2(x / 2) is
+    1 / (1 + t^2) for t = tan(x / 2), and the n rows of q are added by a left
+    fold, in the order ``ToyModel.batch_loglik`` adds them over two or more
+    records: each value equals that kernel's p bit for bit, whatever the
+    block size.  (``q.sum(axis=0)``
+    would not: numpy adds pairwise when a block's shape makes the frequency
+    axis its inner loop.)
     """
     omega = np.asarray(omega, dtype=float)
     if omega.ndim not in (1, 2) or omega.shape[-1] == 0:
@@ -182,14 +154,17 @@ def toy_outcome_prob(tau, omega):
     n_rows, n_freq = stack.shape
     half_tau = 0.5 * np.ravel(tau)
     p = np.empty((n_rows, half_tau.size))
-    for rows, cols, work in _row_blocks(n_rows, n_freq, half_tau.size, 3, split=True):
-        half, s, cos = work.reshape(3, n_freq, work.shape[1], work.shape[3])   # (n, b, t)
-        np.multiply(stack[rows].T[:, :, None], half_tau[cols], out=half)
-        _half_angle(half, s, cos, with_sin=False)
-        p_block = _sum_rows(cos)
-        p_block /= 2.0 * n_freq
-        p_block += 0.5
-        p[rows, cols] = p_block
+    for rows, cols, work in _row_blocks(n_rows, n_freq, half_tau.size, 1, split=True):
+        q = work.reshape(n_freq, work.shape[1], work.shape[3])              # (n, b, t)
+        np.multiply(stack[rows].T[:, :, None], half_tau[cols], out=q)
+        np.tan(q, out=q)
+        np.multiply(q, q, out=q)
+        q += 1.0
+        np.reciprocal(q, out=q)                      # cos^2(x / 2)
+        for row in q[1:]:
+            q[0] += row
+        q[0] /= n_freq
+        p[rows, cols] = q[0]
     p = p.reshape(omega.shape[:-1] + np.shape(tau))
     return float(p) if p.ndim == 0 else p
 
@@ -206,7 +181,7 @@ class ToyModel:
     """Ramsey probe dephasing under n unknown frequencies, binomial outcomes.
 
     ``outcome_prob`` is :func:`toy_outcome_prob`, and ``record_loglik`` the
-    binomial density at it.  ``batch_loglik`` keeps a kernel of its own in the
+    binomial density at it.  ``batch_loglik`` adds the gradient to the same
     cos^2 form: with t = tan(omega_i tau / 2) and q = 1 / (1 + t^2) =
     cos^2(omega_i tau / 2),
 
@@ -218,7 +193,7 @@ class ToyModel:
     records), so t, q, the sum of q and t q run over contiguous records, and
     the omega-gradient is one matmul of t q against dll/dp, which carries
     the -tau / n factor and the gradient weights.  Both kernels run in the
-    blocks of :func:`_row_blocks`.
+    blocks of :func:`_row_blocks` and give the same p bit for bit.
     """
 
     n_nuisance = 0

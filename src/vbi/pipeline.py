@@ -51,8 +51,10 @@ class ConfigError(Exception):
 
 
 def _is_number(value) -> bool:
-    # json.load reads a bare NaN, which every domain comparison lets through
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+    # json.load reads bare NaN and Infinity, which the domain checks let through
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _is_int(value) -> bool:

@@ -5,6 +5,13 @@ record through Bayes' rule, and fights weight degeneracy with systematic
 resampling plus a Liu-West shrinkage move (a = 0.98) whenever the effective
 sample size drops below N_p / 2.  An update allocates one new particle
 array per resample and never writes into the ensemble it is given.
+
+The filter is label-aware: each particle keeps its coordinates sorted
+ascending, one representative per permutation class (Stephens, JRSS B 62:795,
+2000).  That is exact only when the likelihood and the prior box are
+symmetric under permutations of the coordinates, as the toy model's
+frequencies in a box with equal sides are, and any d = 1 model; a model
+whose coordinates carry distinct meanings must not be filtered here.
 """
 
 from __future__ import annotations
@@ -34,12 +41,15 @@ class ParticleEnsemble:
         return 1.0 / float(np.sum(self.weights ** 2))
 
 def pf_init(prior_low, prior_high, n_particles: int, rng: RngStream) -> ParticleEnsemble:
-    """Uniform particles over the prior box with uniform weights."""
+    """Uniform particles over the prior box with uniform weights, each
+    particle's coordinates sorted ascending (exact for a permutation-symmetric
+    likelihood and box; see the module docstring)."""
     if n_particles < 2:
         raise ValueError("need at least two particles")
     low = np.atleast_1d(np.asarray(prior_low, dtype=float))
     high = np.atleast_1d(np.asarray(prior_high, dtype=float))
     particles = rng.uniform(low, high, size=(n_particles, low.size))
+    particles.sort(axis=1)
     weights = np.full(n_particles, 1.0 / n_particles)
     return ParticleEnsemble(particles=particles, weights=weights, rng=rng)
 
@@ -59,10 +69,12 @@ def pf_update(ens: ParticleEnsemble, record, model) -> ParticleEnsemble:
 
     Returns a new ensemble and never writes into ``ens``: a reweight keeps
     its ``particles`` array, and a resample allocates one new particle array
-    and moves the resampled particles in place in it.  The temporaries of
-    the move are reused for the jitter draws and their scaling.  The RNG the
-    new ensemble carries is shared with (and advanced for) the parent, so
-    updates must stay single-threaded per ensemble.
+    and moves the resampled particles in place in it, then sorts each moved
+    particle's coordinates in place, which is exact for a
+    permutation-symmetric likelihood and box (see the module docstring).
+    The temporaries of the move are reused for the jitter draws and their
+    scaling.  The RNG the new ensemble carries is shared with (and advanced
+    for) the parent, so updates must stay single-threaded per ensemble.
     """
     log_w = np.log(ens.weights + 1e-300)
     log_w += model.record_loglik(record, ens.particles)
@@ -92,6 +104,7 @@ def pf_update(ens: ParticleEnsemble, record, model) -> ParticleEnsemble:
     factor = np.linalg.cholesky(h2 * cov + 1e-30 * np.eye(d))
     z = ens.rng.standard_normal(out=centered)
     moved += np.matmul(z, factor.T, out=weighted)          # jitter ~ N(0, h2 cov)
+    moved.sort(axis=1)
     return replace(ens, particles=moved,
                    weights=np.full(ens.n_particles, 1.0 / ens.n_particles))
 

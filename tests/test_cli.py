@@ -196,6 +196,10 @@ def test_wrong_type_rejected(tmp_path, capsys):
     ("dd", "model", "aperp_range", [float("nan"), 0.5]),
     ("dd", "model", "truth_spins", [[0.1, 0.2], [0.3, float("nan")]]),
     ("toy", "model", "truth_frequencies", [0.5, float("nan")]),
+    # and Infinity as the bare token Infinity
+    ("dd", "model", "tau_max_us", float("inf")),
+    ("dd", "model", "T2_inv", float("inf")),
+    ("dd", "model", "az_range", [float("-inf"), 0.1]),
 ], ids=["az_range", "aperp_range", "log_tau_range", "truth_spins-short-pair",
         "truth_spins-flat", "truth_frequencies", "n_list", "seeds", "n_list-below-1",
         "ansatz.n_layers", "ansatz.hidden_width", "repetitions", "T2_inv", "eta0",
@@ -203,7 +207,8 @@ def test_wrong_type_rejected(tmp_path, capsys):
         "ansatz_spins", "truth_count", "n_frequencies", "m_points", "tau_min_us",
         "tau_max_us", "bench.n_particles", "bench.trials", "seeds-empty", "n_list-empty",
         "truth_frequencies-above-1", "truth_frequencies-below-0", "T2_inv-nan", "lr_start-nan",
-        "aperp_range-nan", "truth_spins-nan", "truth_frequencies-nan"])
+        "aperp_range-nan", "truth_spins-nan", "truth_frequencies-nan", "tau_max_us-inf",
+        "T2_inv-inf", "az_range-inf"])
 def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     config = {"model": {"kind": "dd", "B_gauss": 403.0} if kind == "dd" else {"kind": "toy"}}
     config.setdefault(section, {})[key] = value
@@ -211,6 +216,16 @@ def test_bad_config_value_rejected(tmp_path, capsys, kind, section, key, value):
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_infinity_in_a_config_file_exits_2(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"model": {"kind": "dd", "B_gauss": 403.0, "tau_max_us": Infinity}}')
+    run = subprocess.run([sys.executable, "-m", "vbi.cli", "simulate", "--config", str(path),
+                          "--out", str(tmp_path / "o")], env=subprocess_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 2
+    assert "model.tau_max_us must be a number" in run.stderr
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vbi import likelihoods, smc
+from vbi import smc
 from vbi.likelihoods import GaussianLocationModel, MeasurementRecord, ToyModel
 from vbi.probcore import RngStream
 from vbi.simulator import sample_records
@@ -18,8 +18,9 @@ def test_pf_init_uniform():
 
 
 def test_pf_init_mean_large_ensemble():
+    # each particle is sorted: the k-th of 3 uniform coordinates has mean k / 4
     ens = smc.pf_init(np.zeros(3), np.ones(3), 100000, RngStream(2))
-    assert np.all(np.abs(ens.particles.mean(axis=0) - 0.5) <= 0.005)
+    assert np.all(np.abs(ens.particles.mean(axis=0) - np.arange(1, 4) / 4) <= 0.005)
 
 
 def test_pf_init_needs_two_particles():
@@ -113,7 +114,8 @@ def test_liu_west_jitter_equals_numpy_cholesky_draws(d):
     n = 2048
     ens = smc.pf_init(np.zeros(d), np.ones(d), n, RngStream(17))
     twin = RngStream(17)
-    twin.uniform(np.zeros(d), np.ones(d), size=(n, d))           # the draws of pf_init
+    start = twin.uniform(np.zeros(d), np.ones(d), size=(n, d))   # the draws of pf_init
+    assert np.array_equal(ens.particles, np.sort(start, axis=1))
     out = smc.pf_update(ens, MeasurementRecord(1.0, 1, 1, 0.5), _QuadraticModel())
     assert out.ess() == pytest.approx(n)
     log_w = np.log(ens.weights + 1e-300) + _QuadraticModel().record_loglik(None, ens.particles)
@@ -127,20 +129,21 @@ def test_liu_west_jitter_equals_numpy_cholesky_draws(d):
     h2 = 1.0 - smc.LIU_WEST_A ** 2
     jitter = twin._gen.multivariate_normal(np.zeros(d), h2 * cov + 1e-30 * np.eye(d), size=n,
                                            method="cholesky")
-    assert np.array_equal(out.particles, shrunk + jitter)
+    assert np.array_equal(out.particles, np.sort(shrunk + jitter, axis=1))
 
 
 def _row_major_record_loglik(record, omega):
-    """ToyModel.record_loglik as (particles, frequencies) arrays summed by np.sum."""
-    half = omega * (0.5 * record.tau_us)
-    _, _, cos = likelihoods._half_angle(half, np.empty_like(half), np.empty_like(half))
-    p = np.clip(0.5 + np.sum(cos, axis=-1) / (2.0 * omega.shape[1]), 1e-300, 1.0 - 1e-16)
+    """ToyModel.record_loglik on fresh (particles, frequencies) arrays: q = 1 / (1 + t^2)
+    = cos^2(x / 2) for t = tan(x / 2), the frequencies added left to right."""
+    t = np.tan(omega * (0.5 * record.tau_us))
+    q = 1.0 / (t * t + 1.0)
+    p = np.clip(sum(q.T) / omega.shape[1], 1e-300, 1.0 - 1e-16)
     c = round(record.y * record.repetitions)
     return c * np.log(p) + (record.repetitions - c) * np.log1p(-p)
 
 
 def _reference_pf_run(particles, weights, rng, records):
-    """The Liu-West filter on fresh arrays with searchsorted resampling;
+    """The sorted Liu-West filter on fresh arrays with searchsorted resampling;
     returns the final particles and weights and the number of resamples."""
     n, d = particles.shape
     resamples = 0
@@ -158,7 +161,7 @@ def _reference_pf_run(particles, weights, rng, records):
         idx = np.minimum(np.searchsorted(np.cumsum(weights), positions), n - 1)
         shrunk = smc.LIU_WEST_A * particles[idx] + (1.0 - smc.LIU_WEST_A) * mean
         factor = np.linalg.cholesky((1.0 - smc.LIU_WEST_A ** 2) * cov + 1e-30 * np.eye(d))
-        particles = shrunk + rng.standard_normal((n, d)) @ factor.T
+        particles = np.sort(shrunk + rng.standard_normal((n, d)) @ factor.T, axis=1)
         weights = np.full(n, 1.0 / n)
     return particles, weights, resamples
 
@@ -172,11 +175,32 @@ def test_pf_run_is_bit_identical_to_the_fresh_array_filter(n):
     ens = smc.pf_run(smc.pf_init(np.zeros(n), np.ones(n), 1024, RngStream(60 + n)),
                      records, model)
     twin = RngStream(60 + n)
-    start = twin.uniform(np.zeros(n), np.ones(n), size=(1024, n))    # the draws of pf_init
+    start = np.sort(twin.uniform(np.zeros(n), np.ones(n), size=(1024, n)), axis=1)
     particles, weights, resamples = _reference_pf_run(start, np.full(1024, 1.0 / 1024), twin,
                                                       records)
     assert resamples >= 5
     assert np.array_equal(ens.particles, particles) and np.array_equal(ens.weights, weights)
+
+
+def test_toy_filter_keeps_every_particle_sorted():
+    model = ToyModel(8)
+    rng = RngStream(31)
+    records = sample_records(model, rng, 10.0 ** rng.uniform(-1, 2, 40), 1,
+                             rng.uniform(0.0, 1.0, 8), None, 256)
+    ens = smc.pf_init(np.zeros(8), np.ones(8), 1024, RngStream(32))
+    assert np.all(np.diff(ens.particles, axis=1) >= 0)
+    resamples = 0
+    for record in sorted(records, key=lambda r: r.tau_us):
+        out = smc.pf_update(ens, record, model)
+        resamples += out.particles is not ens.particles
+        ens = out
+        assert np.all(np.diff(ens.particles, axis=1) >= 0)
+    assert resamples >= 5
+    # sorting keeps the toy likelihood; only the order of the frequency sum moves
+    particles = RngStream(33).uniform(0.0, 1.0, (4096, 8))
+    for record in records:
+        assert np.allclose(model.record_loglik(record, np.sort(particles, axis=1)),
+                           model.record_loglik(record, particles), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 12, 16, 17, 130])
