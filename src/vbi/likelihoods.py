@@ -37,12 +37,18 @@ contiguous axis, not a short one over the few frequencies or spins:
   contiguous (rows, records) axis, each leave-one-out product multiplies whole
   (rows, records) slices, and a block's record sums for the spin chain rule
   land in one (3, B, K) array, so the chain rule runs once per call.
+
+The DD term's phase enters through Chebyshev polynomials of cos phi at the
+pi-pulse count N_pi, from a ladder over N_pi's bits (:func:`_chebyshev`) that
+starts from its top two bits in closed form and carries 2 T_N and 2 U_{N-1}.
+N_pi's bit length sets the cost: 15 full-size passes at N_pi = 24 and 16 at
+N_pi = 32 with the gradient, 10 and 11 without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -290,7 +296,9 @@ class ToyModel:
 class _DDRecords:
     """Per-record constants of the spin term, shaped to broadcast against the
     coupling arrays: tau, N_pi, beta = omega_L tau, cos beta, sin beta and
-    1 - cos beta.
+    (1 - cos beta) / 4, and for the gradient tau sin beta, tau cos beta and
+    tau (1 - cos beta) / 4, or None where no caller reads the gradient.  They
+    are built once, not in every block of :func:`_spin_term_core`.
 
     ``ladder`` holds the bits of N_pi from the highest set one down, each
     True (every record has it), False (no record has it) or a record-shaped
@@ -302,18 +310,21 @@ class _DDRecords:
     beta: np.ndarray
     cb: np.ndarray
     sb: np.ndarray
-    one_m_cb: np.ndarray
+    quarter_one_m_cb: np.ndarray
     ladder: tuple
+    tau_sb: np.ndarray = None
+    tau_cb: np.ndarray = None
+    quarter_tau_one_m_cb: np.ndarray = None
 
     def take(self, cols: slice) -> "_DDRecords":
         """The records ``cols`` of the last axis, ladder masks included."""
-        return _DDRecords(*(v[..., cols] for v in (self.tau, self.n_pi, self.beta, self.cb,
-                                                  self.sb, self.one_m_cb)),
+        arrays = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ladder"}
+        return _DDRecords(**{name: v if v is None else v[..., cols] for name, v in arrays.items()},
                           ladder=tuple(bit if isinstance(bit, bool) else bit[..., cols]
                                        for bit in self.ladder))
 
 
-def _dd_records(tau, n_pi, omega_l) -> _DDRecords:
+def _dd_records(tau, n_pi, omega_l, with_grad: bool) -> _DDRecords:
     if not np.all(np.asarray(omega_l) > 0):
         raise ModelError("omega_l must be positive")
     tau = np.asarray(tau, dtype=float)
@@ -327,8 +338,12 @@ def _dd_records(tau, n_pi, omega_l) -> _DDRecords:
         ladder.append(True if bit.all() else bit if bit.any() else False)
     beta = omega_l * tau
     cb = np.cos(beta)
-    return _DDRecords(tau=tau, n_pi=n_pi, beta=beta, cb=cb, sb=np.sin(beta),
-                      one_m_cb=1.0 - cb, ladder=tuple(ladder))
+    rec = _DDRecords(tau=tau, n_pi=n_pi, beta=beta, cb=cb, sb=np.sin(beta),
+                     quarter_one_m_cb=0.25 * (1.0 - cb), ladder=tuple(ladder))
+    if not with_grad:
+        return rec
+    return replace(rec, tau_sb=tau * rec.sb, tau_cb=tau * cb,
+                   quarter_tau_one_m_cb=tau * rec.quarter_one_m_cb)
 
 
 def _spin_axes(a_z, a_perp, omega_l):
@@ -340,48 +355,71 @@ def _spin_axes(a_z, a_perp, omega_l):
     return w, r / w, (a_perp * a_perp) / wsq
 
 
-def _chebyshev(c, ladder, with_u: bool, buf):
-    """2 T_N(c) and U_{N-1}(c) by the binary ladder of ``_spin_term_core``.
+def _chebyshev(c, ladder, with_v: bool, buf):
+    """2 T_N(c) and V = 2 U_{N-1}(c) by the binary ladder of ``_spin_term_core``.
 
-    Every record starts from (T_0, U_{-1}) = (1, 0).  U is carried when the
-    caller reads it or a step after the first reads it; otherwise None.
+    Each record starts at a = its bits in the ladder's top two places, in
+    closed form from X = 2c: 2 T_0 ... 2 T_3 = 2, X, X^2 - 2, X (X^2 - 3)
+    and 2 U_-1 ... 2 U_2 = 0, 2, 2X, 2 (X^2 - 1), picked by mask where the
+    records' top two bits differ.  A record whose N_pi is shorter than the
+    longest starts at T_0 or T_1, which the doubling steps keep or carry
+    exactly, and reaches its top two bits by the ladder's steps; so where
+    its second bit is set, its last bits can depend on the longest N_pi of
+    its call.  V is carried when the caller reads it or a later step adds
+    one; otherwise it is None.  At a power of two the start is the first
+    doubling and V an exact rescaling of U, so those N_pi run the operations
+    of the plain doubling ladder bit for bit.
     """
-    first = ladder[0]
-    keep_u = with_u or sum(bit is not False for bit in ladder) > 1
-    x = np.multiply(c, 2.0, out=next(buf))           # (2 T_1, U_0) = (2c, 1)
-    u = next(buf) if keep_u else None
-    if first is not True:                            # (2 T_0, U_-1) = (2, 0) below the top bit
-        np.copyto(x, 2.0, where=~first)
-    if u is not None and len(ladder) == 1:
-        np.copyto(u, first)
-    elif u is not None:                              # U_1 = 2 T_1 U_0 of the first doubling,
-        np.multiply(x, first, out=u)                 # and 2 T_0 U_-1 = 0 below the top bit
-    two_s2 = spare_x = spare_u = None
-    for i, bit in enumerate(ladder[1:]):
-        if i and u is not None:
-            u *= x                                   # U_{2a-1} = 2 T_a U_{a-1}
+    keep_v = with_v or any(bit is not False for bit in ladder[2:])
+    x = np.multiply(c, 2.0, out=next(buf))           # X = 2 T_1
+    v = next(buf) if keep_v else None
+    if len(ladder) == 1:                             # every N is 1
+        if v is not None:
+            v.fill(2.0)                              # 2 U_0
+        return x, v
+    hi, lo = ladder[:2]
+    x2 = None
+    if hi is True and lo is False:                   # every record starts at a = 2
+        if v is not None:
+            np.multiply(x, 2.0, out=v)               # 2 U_1 = 2X
+        np.multiply(x, x, out=x)
+        x -= 2.0                                     # 2 T_2 = X^2 - 2
+    elif hi is True and lo is True:                  # every record starts at a = 3
+        x2 = np.multiply(x, x, out=next(buf))
+        if v is not None:
+            np.subtract(x2, 1.0, out=v)
+            v *= 2.0                                 # 2 U_2 = 2 (X^2 - 1)
+        x2 -= 3.0
+        x *= x2                                      # 2 T_3 = X (X^2 - 3)
+    else:                                            # a = 0, 1, 2 or 3 by mask
+        x2 = np.multiply(x, x, out=next(buf))
+        at = [np.equal(2 * hi + lo, a) for a in range(3)]
+        if v is not None:
+            np.copyto(v, np.select(at, [0.0, 2.0, 2.0 * x], 2.0 * (x2 - 1.0)))
+        np.copyto(x, np.select(at, [2.0, x, x2 - 2.0], x * (x2 - 3.0)))
+    one_m_c2 = spare_x = spare_v = None
+    for bit in ladder[2:]:
+        if v is not None:
+            v *= x                                   # 2 U_{2a-1} = 2 T_a 2 U_{a-1}
         np.multiply(x, x, out=x)
         x -= 2.0                                     # 2 T_2a = (2 T_a)^2 - 2
         if bit is False:
             continue
-        if two_s2 is None:
-            two_s2 = np.multiply(c, c, out=next(buf))
-            two_s2 *= -2.0
-            two_s2 += 2.0                            # 2 (1 - c^2)
-            spare_x, spare_u = next(buf), next(buf)
-        np.multiply(c, u, out=spare_u)               # U_a = c U_{a-1} + T_a
-        spare_u *= 2.0
-        spare_u += x
-        spare_u *= 0.5
-        if bit is True:                              # 2 T_{a+1} = c 2 T_a - 2 (1 - c^2) U_{a-1}
+        if one_m_c2 is None:
+            one_m_c2 = np.multiply(c, c, out=next(buf) if x2 is None else x2)
+            np.subtract(1.0, one_m_c2, out=one_m_c2)
+            spare_x, spare_v = next(buf), next(buf)
+        np.multiply(c, v, out=spare_v)               # 2 U_a = c 2 U_{a-1} + 2 T_a
+        spare_v += x
+        if bit is True:                              # 2 T_{a+1} = c 2 T_a - (1 - c^2) 2 U_{a-1}
             np.multiply(c, x, out=spare_x)
-            u *= two_s2
-            spare_x -= u
-            x, spare_x, u, spare_u = spare_x, x, spare_u, u
+            v *= one_m_c2
+            spare_x -= v
+            x, spare_x, v, spare_v = spare_x, x, spare_v, v
         else:
-            np.copyto(x, c * x - two_s2 * u, where=bit)
-            np.copyto(u, spare_u, where=bit)
-    return x, u
+            np.copyto(x, c * x - one_m_c2 * v, where=bit)
+            np.copyto(v, spare_v, where=bit)
+    return x, v
 
 
 def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work):
@@ -398,11 +436,18 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     only through Chebyshev polynomials of c = cos phi (Mason & Handscomb,
     2003): sin^2(N phi / 2) = (1 - T_N(c)) / 2, and its c-derivative is
     -N U_{N-1}(c) / 2, exact at |c| = 1 where sin(N phi) / sin(phi) is a
-    limit.  Both come from a ladder over the bits of N, highest first:
-    doubling T_2a = 2 T_a^2 - 1, U_{2a-1} = 2 T_a U_{a-1}, then, where the
-    bit is set, T_{a+1} = c T_a - (1 - c^2) U_{a-1}, U_a = c U_{a-1} + T_a.
-    A bit that no record has skips the step and one that every record has
-    needs no mask, so any N costs O(log N) passes.
+    limit.  Both come from a ladder over the bits of N, highest first, that
+    carries 2 T and V = 2 U (:func:`_chebyshev`): the top two bits give the
+    start a = 1, 2 or 3 in closed form, and each lower bit doubles,
+    2 T_2a = (2 T_a)^2 - 2 and V_{2a-1} = 2 T_a V_{a-1}, then, where it is
+    set, adds one: V_a = c V_{a-1} + 2 T_a and
+    2 T_{a+1} = c 2 T_a - (1 - c^2) V_{a-1}.  A bit that no record has skips
+    the add-one step and one that every record has needs no mask.  So N's
+    bit length L sets the cost in full-size passes: 4 + 3 (L - 2) with V,
+    2 more when the second bit is set, 5 per set bit below the top two and 2
+    once for 1 - c^2; without V, which only the gradient and the add-one
+    steps read, 3 + 2 (L - 2), 1 more when the second bit is set.  N_pi = 24
+    takes 15 passes (10 without V), and N_pi = 32 takes 16 (11).
 
     The denominator 1 + cos phi falls back to the algebraically identical
     form 2 cos^2((alpha + beta) / 2) + (1 - m_z) sin alpha sin beta wherever
@@ -433,8 +478,8 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     inv_den = np.reciprocal(den, out=den)
     # (1 - cos alpha)(1 - cos beta) / 4 and 4 sin^2(N phi / 2) = 2 - 2 T_N: the
     # powers of two cancel exactly in g and in the factors below
-    numer *= 0.25 * rec.one_m_cb
-    h, cheb_u = _chebyshev(c, rec.ladder, with_grad, buf)
+    numer *= rec.quarter_one_m_cb
+    h, cheb_v = _chebyshev(c, rec.ladder, with_grad, buf)
     np.subtract(2.0, h, out=h)
     h *= inv_den
     g = np.multiply(numer, h, out=c)
@@ -444,18 +489,18 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     if not with_grad:
         return m_val
 
-    qn = cheb_u                                      # -dg/dcos phi =
-    qn *= 2.0 * rec.n_pi                             # (g + N/2 U_{N-1} numer) / (1 + cos phi)
+    qn = cheb_v                                      # -dg/dcos phi =
+    qn *= rec.n_pi                                   # (g + N V numer) / (1 + cos phi)
     qn *= numer
     qn += g
     qn *= inv_den
     dg_dmz = np.multiply(sasb, qn, out=sasb)
     np.multiply(ca, m_z, out=ca)
-    ca *= rec.tau * rec.sb
-    tau_dg_da = np.multiply(sa, rec.tau * rec.cb, out=numer)
+    ca *= rec.tau_sb
+    tau_dg_da = np.multiply(sa, rec.tau_cb, out=numer)
     tau_dg_da += ca
     tau_dg_da *= qn                                  # through cos phi, plus
-    h *= 0.25 * rec.tau * rec.one_m_cb
+    h *= rec.quarter_tau_one_m_cb
     h *= sa
     tau_dg_da += h                                   # through 1 - cos alpha
     return m_val, g, tau_dg_da, dg_dmz
@@ -488,7 +533,7 @@ def dd_single_spin_term(a_z, a_perp, tau, n_pi, omega_l):
     shape = np.broadcast(a_z, a_perp, tau, n_pi, omega_l).shape
     a_z, a_perp, tau, n_pi, omega_l = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
                                        for v in (a_z, a_perp, tau, n_pi, omega_l))
-    out = _spin_term_core(a_z, a_perp, _dd_records(tau, n_pi, omega_l), omega_l, False,
+    out = _spin_term_core(a_z, a_perp, _dd_records(tau, n_pi, omega_l, False), omega_l, False,
                           np.empty((_KERNEL_BUFFERS, a_z.size))).reshape(shape)
     if np.any(np.isnan(out)):
         raise ModelError(f"spin term is NaN for a_z={a_z}, a_perp={a_perp}, tau={tau}, "
@@ -509,7 +554,7 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
                          "or a stack of them")
     shape = np.broadcast(tau, n_pi).shape
     tau, n_pi = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (tau, n_pi))
-    rec = _dd_records(tau, n_pi, omega_l)
+    rec = _dd_records(tau, n_pi, omega_l, False)
     stack = np.atleast_2d(a)
     prod = np.empty((stack.shape[0], tau.size))
     for rows, cols, work in _row_blocks(stack.shape[0], stack.shape[1] // 2, tau.size,
@@ -571,7 +616,7 @@ class DDModel:
         tau = np.array([r.tau_us for r in records])
         n_pi = np.array([r.n_pi for r in records], dtype=float)
         return _DDData(
-            rec=_dd_records(tau[None, None, :], n_pi[None, None, :], self.omega_l),
+            rec=_dd_records(tau[None, None, :], n_pi[None, None, :], self.omega_l, True),
             y=np.array([r.y for r in records]),
             seq_time=n_pi * tau,
         )

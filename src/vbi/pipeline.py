@@ -306,9 +306,12 @@ def greedy_comb_init(records, model: DDModel, phi: NuisanceParams, k_max):
     is the readout noise in the shot-noise floor.  One move, ``place``, fits a
     spin against others held fixed: the strongest resonance-comb scores
     against a coarse A_perp grid, then the comb position, coarse and fine,
-    each pass followed by A_perp over the whole ridge ``AP_RIDGE``.  One rule
-    admits and keeps a spin: the error without it is above 1.5x the shot-noise
-    floor, so noise wiggles never spawn spins, and the spin cuts it by
+    each pass followed by A_perp over the whole ridge ``AP_RIDGE``.  The
+    single-spin terms of the fixed trial grid (comb positions x coarse A_perp)
+    do not depend on the others, so they are scored once per start, at the
+    first ``place``; only the comb lines and ridges are scored per call.  One
+    rule admits and keeps a spin: the error without it is above 1.5x the
+    shot-noise floor, so noise wiggles never spawn spins, and the spin cuts it by
     ``GREEDY_REL_FLOOR``.  Spins are added while the rule admits them.  Two
     exchange passes then place each again against the others, drop it when
     the rule no longer keeps it and move it when the new place fits better:
@@ -332,25 +335,35 @@ def greedy_comb_init(records, model: DDModel, phi: NuisanceParams, k_max):
         tau_m = (2m-1) pi / (omega_L + |(omega_L + A_z, A_perp)|)."""
         return math.sqrt(max((model.omega_l + comb) ** 2 - ap * ap, 0.0)) - model.omega_l
 
+    def own_terms(pairs):
+        """Each (comb position, A_perp) pair's spin term, its own 1 - 2 p_1 at
+        T2^-1 = 0."""
+        spins = np.array([(az_at(c, a), a) for c, a in pairs])
+        return 1.0 - 2.0 * model.outcome_prob(taus, n_pi, spins, NuisanceParams())
+
+    trial = [(c, a) for c in combs for a in np.arange(0.10, 0.50, 0.04)]
+    trial_terms = None                   # own_terms(trial), scored at the first place
+
     def place(others):
         """The best spin to add to ``others``, held fixed, and the squared
         error with and without it.  1 - 2 p_1 is the envelope times one term
         per spin, and a spin's term is its own 1 - 2 p_1 at T2^-1 = 0, so a
-        candidate is scored at one spin, not K."""
+        candidate is scored at one spin, not K, and the trial grid's terms
+        serve every place."""
+        nonlocal trial_terms
         rest = 1.0 - 2.0 * model.outcome_prob(taus, n_pi, np.ravel(others), phi)
 
-        def errors(pairs):
-            """Squared error with each (comb position, A_perp) pair added."""
-            spins = np.array([(az_at(c, a), a) for c, a in pairs])
-            own = 1.0 - 2.0 * model.outcome_prob(taus, n_pi, spins, NuisanceParams())
+        def errors(own):
+            """Squared error with each spin term of ``own`` added."""
             return np.sum((ys - 0.5 * (1.0 - rest * own)) ** 2, axis=1)
 
-        trial = [(c, a) for c in combs for a in np.arange(0.10, 0.50, 0.04)]
-        comb, ap = trial[int(np.argmin(errors(trial)))]   # the first minimum, in scan order
+        if trial_terms is None:
+            trial_terms = own_terms(trial)
+        comb, ap = trial[int(np.argmin(errors(trial_terms)))]   # the first minimum, in scan order
         for span in (8 * COMB_STEP, COMB_STEP):
             line = comb + np.linspace(-span, span, 17)
-            comb = float(line[np.argmin(errors([(c, ap) for c in line]))])
-            err = errors([(comb, a) for a in AP_RIDGE])
+            comb = float(line[np.argmin(errors(own_terms([(c, ap) for c in line])))])
+            err = errors(own_terms([(comb, a) for a in AP_RIDGE]))
             ap = float(AP_RIDGE[np.argmin(err)])
         return (az_at(comb, ap), ap), err.min(), np.sum((ys - 0.5 * (1.0 - rest)) ** 2)
 

@@ -255,6 +255,48 @@ def test_spin_term_million_draw_bounds_and_symmetries():
     assert np.array_equal(m, flipped)
 
 
+def _kernel_ladder(c, n_pi):
+    """2 T_N(c) and 2 U_{N-1}(c) from the kernel's ladder over the bits of
+    ``n_pi``, drawing its buffers from five fresh ones."""
+    rec = lk._dd_records(np.ones(n_pi.shape), n_pi, OMEGA_L, False)
+    return lk._chebyshev(c, rec.ladder, True, iter(np.empty((5,) + c.shape)))
+
+
+def test_chebyshev_ladder_at_every_n_pi_alone_and_mixed():
+    rng = RngStream(59)
+    c = np.concatenate([rng.uniform(-0.999, 0.999, 200), [-1.0, 1.0]])
+    phi = np.arccos(c[:-2])
+    ns = np.arange(1, 71)
+
+    def check(n, two_t, two_u):
+        # T_N and U_{N-1} change with c at slopes up to N^2 and N^3
+        assert np.max(np.abs(two_t[:-2] - 2.0 * np.cos(n * phi))) <= 1e-14 * n ** 2, n
+        assert (np.max(np.abs(n * two_u[:-2] - 2.0 * n * np.sin(n * phi) / np.sin(phi)))
+                <= 1e-14 * n ** 3), n
+        assert two_t[-2] == 2.0 * (-1) ** n and two_t[-1] == 2.0, n
+        assert n * two_u[-2] == 2.0 * n * n * (-1) ** (n - 1) and n * two_u[-1] == 2.0 * n * n, n
+
+    alone = {n: _kernel_ladder(c, np.full(c.shape, float(n))) for n in ns}
+    for n in ns:
+        check(n, *alone[n])
+    # one array of all 70, and every pair: each start by mask and each mixture
+    # of bit lengths
+    mixed = _kernel_ladder(np.tile(c, (70, 1)), np.repeat(ns, c.size).reshape(70, -1) * 1.0)
+    for i, n in enumerate(ns):
+        check(n, mixed[0][i], mixed[1][i])
+    for n1 in ns:
+        for n2 in ns[n1:]:
+            pair = _kernel_ladder(np.tile(c, (2, 1)), np.array([[n1], [n2]]) * np.ones(c.size))
+            check(n1, pair[0][0], pair[1][0])
+            check(n2, pair[0][1], pair[1][1])
+    # at a power of two the ladder is the plain doubling recurrence, bit for bit
+    x, v = 2.0 * c, np.full(c.shape, 2.0)
+    for k in range(7):
+        assert np.array_equal(alone[2 ** k][0], x) and np.array_equal(alone[2 ** k][1], v), k
+        v = x * v
+        x = x * x - 2.0
+
+
 def test_unit_bloch_vector_identity():
     rng = RngStream(23)
     a_z = rng.uniform(-1, 1, 1000)
@@ -588,22 +630,28 @@ def test_dd_batch_loglik_is_independent_of_block_size(monkeypatch, weighted, n_p
 
 
 def _fresh_chebyshev(c, n_pi):
-    """2 T_N(c) and U_{N-1}(c) by the bit ladder of N, in fresh arrays."""
+    """2 T_N(c) and 2 U_{N-1}(c) by the bit ladder of N, in fresh arrays: each
+    record starts at its bits in the top two places of the longest N, in
+    closed form, then the lower bits double and add one."""
     n = n_pi.astype(np.int64)
     top = int(n.max()).bit_length() - 1
-    first = ((n >> top) & 1).astype(bool)
-    x = np.where(first, 2.0 * c, 2.0)
-    u = np.broadcast_to(np.where(first, 1.0, 0.0), c.shape)
-    for j in range(top - 1, -1, -1):
+    x = 2.0 * c
+    if top == 0:
+        return x, np.full(c.shape, 2.0)
+    start = [(n >> (top - 1)) & 3 == a for a in range(4)]
+    x2 = x * x
+    v = np.select(start, [0.0, 2.0, 2.0 * x, 2.0 * (x2 - 1.0)])
+    x = np.select(start, [2.0, x, x2 - 2.0, x * (x2 - 3.0)])
+    for j in range(top - 2, -1, -1):
         bit = ((n >> j) & 1).astype(bool)
-        u = u * x
+        v = v * x
         x = x * x - 2.0
         if bit.any():
-            two_s2 = 2.0 - 2.0 * (c * c)
-            stepped_u = (c * u * 2.0 + x) * 0.5
-            x = np.where(bit, c * x - two_s2 * u, x)
-            u = np.where(bit, stepped_u, u)
-    return x, u
+            one_m_c2 = 1.0 - c * c
+            stepped_v = c * v + x
+            x = np.where(bit, c * x - one_m_c2 * v, x)
+            v = np.where(bit, stepped_v, v)
+    return x, v
 
 
 def _fresh_dd_batch_loglik(model, records, a, phi, weights):
@@ -630,11 +678,11 @@ def _fresh_dd_batch_loglik(model, records, a, phi, weights):
     den = np.where(den < 1e-12, fallback, den)
     inv_den = 1.0 / den
     numer = numer * one_m_cb
-    two_t, cheb_u = _fresh_chebyshev(c, n_pi)
+    two_t, two_u = _fresh_chebyshev(c, n_pi)
     h = (two_t * -0.25 + 0.5) * inv_den
     g = numer * h
     m = np.clip(1.0 - u * g, -1.0, 1.0)
-    qn = ((cheb_u * (0.5 * n_pi)) * numer + g) * inv_den
+    qn = ((two_u * (0.25 * n_pi)) * numer + g) * inv_den
     dg_dmz = sasb * qn
     tau_dg_da = ((sa * (tau * cb) + (ca * m_z) * (tau * sb)) * qn
                  + (h * (tau * one_m_cb)) * sa)
