@@ -308,8 +308,8 @@ def greedy_comb_init(records, model: DDModel, phi: NuisanceParams, k_max):
     against a coarse A_perp grid, then the comb position, coarse and fine,
     each pass followed by A_perp over the whole ridge ``AP_RIDGE``.  The
     single-spin terms of the fixed trial grid (comb positions x coarse A_perp)
-    do not depend on the others, so they are scored once per start, at the
-    first ``place``; only the comb lines and ridges are scored per call.  One
+    do not depend on the others, so they are scored once per start, before
+    the first ``place``; only the comb lines and ridges are scored per call.  One
     rule admits and keeps a spin: the error without it is above 1.5x the
     shot-noise floor, so noise wiggles never spawn spins, and the spin cuts it by
     ``GREEDY_REL_FLOOR``.  Spins are added while the rule admits them.  Two
@@ -342,7 +342,9 @@ def greedy_comb_init(records, model: DDModel, phi: NuisanceParams, k_max):
         return 1.0 - 2.0 * model.outcome_prob(taus, n_pi, spins, NuisanceParams())
 
     trial = [(c, a) for c in combs for a in np.arange(0.10, 0.50, 0.04)]
-    trial_terms = None                   # own_terms(trial), scored at the first place
+    # scored once per start; with no comb nothing is placed, and an empty
+    # stack is no coupling array
+    trial_terms = own_terms(trial) if combs else None
 
     def place(others):
         """The best spin to add to ``others``, held fixed, and the squared
@@ -350,15 +352,12 @@ def greedy_comb_init(records, model: DDModel, phi: NuisanceParams, k_max):
         per spin, and a spin's term is its own 1 - 2 p_1 at T2^-1 = 0, so a
         candidate is scored at one spin, not K, and the trial grid's terms
         serve every place."""
-        nonlocal trial_terms
         rest = 1.0 - 2.0 * model.outcome_prob(taus, n_pi, np.ravel(others), phi)
 
         def errors(own):
             """Squared error with each spin term of ``own`` added."""
             return np.sum((ys - 0.5 * (1.0 - rest * own)) ** 2, axis=1)
 
-        if trial_terms is None:
-            trial_terms = own_terms(trial)
         comb, ap = trial[int(np.argmin(errors(trial_terms)))]   # the first minimum, in scan order
         for span in (8 * COMB_STEP, COMB_STEP):
             line = comb + np.linspace(-span, span, 17)

@@ -276,19 +276,29 @@ def test_chebyshev_ladder_at_every_n_pi_alone_and_mixed():
         assert two_t[-2] == 2.0 * (-1) ** n and two_t[-1] == 2.0, n
         assert n * two_u[-2] == 2.0 * n * n * (-1) ** (n - 1) and n * two_u[-1] == 2.0 * n * n, n
 
+    def same_as_fresh(c, n_pi, ladder):
+        # the start, by mask or not, and every step run the fresh-array
+        # ladder's operations
+        return all(map(np.array_equal, ladder, _fresh_chebyshev(c, n_pi)))
+
     alone = {n: _kernel_ladder(c, np.full(c.shape, float(n))) for n in ns}
     for n in ns:
         check(n, *alone[n])
+        assert same_as_fresh(c, np.full(c.shape, float(n)), alone[n]), n
     # one array of all 70, and every pair: each start by mask and each mixture
     # of bit lengths
-    mixed = _kernel_ladder(np.tile(c, (70, 1)), np.repeat(ns, c.size).reshape(70, -1) * 1.0)
+    n_pi = np.repeat(ns, c.size).reshape(70, -1) * 1.0
+    mixed = _kernel_ladder(np.tile(c, (70, 1)), n_pi)
     for i, n in enumerate(ns):
         check(n, mixed[0][i], mixed[1][i])
+    assert same_as_fresh(np.tile(c, (70, 1)), n_pi, mixed)
     for n1 in ns:
         for n2 in ns[n1:]:
-            pair = _kernel_ladder(np.tile(c, (2, 1)), np.array([[n1], [n2]]) * np.ones(c.size))
+            n_pi = np.array([[n1], [n2]]) * np.ones(c.size)
+            pair = _kernel_ladder(np.tile(c, (2, 1)), n_pi)
             check(n1, pair[0][0], pair[1][0])
             check(n2, pair[0][1], pair[1][1])
+            assert same_as_fresh(np.tile(c, (2, 1)), n_pi, pair), (n1, n2)
     # at a power of two the ladder is the plain doubling recurrence, bit for bit
     x, v = 2.0 * c, np.full(c.shape, 2.0)
     for k in range(7):
