@@ -41,8 +41,11 @@ contiguous axis, not a short one over the few frequencies or spins:
 The DD term's phase enters through Chebyshev polynomials of cos phi at the
 pi-pulse count N_pi, from a ladder over N_pi's bits (:func:`_chebyshev`) that
 starts from its top two bits in closed form and carries 2 T_N and 2 U_{N-1}.
-N_pi's bit length sets the cost: 15 full-size passes at N_pi = 24 and 16 at
-N_pi = 32 with the gradient, 10 and 11 without it.
+Every DD entry point scores its records in runs that share N_pi
+(:func:`_n_pi_runs`), so a run's N_pi sets its cost: 15 full-size passes at
+N_pi = 24 and 16 at N_pi = 32 with the gradient, 10 and 11 without it.  A
+mixed set costs the sum of its runs, and each record gets the value it has
+alone.
 """
 
 from __future__ import annotations
@@ -294,52 +297,52 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class _DDRecords:
-    """Per-record constants of the spin term, shaped to broadcast against the
-    coupling arrays: tau, N_pi, beta = omega_L tau, cos beta, sin beta and
-    (1 - cos beta) / 4, and for the gradient tau sin beta, tau cos beta and
-    tau (1 - cos beta) / 4, or None where no caller reads the gradient.  They
-    are built once, not in every block of :func:`_spin_term_core`.
-
-    ``ladder`` holds the bits of N_pi from the highest set one down, each
-    True (every record has it), False (no record has it) or a record-shaped
-    boolean mask.
+    """Per-record constants of the spin term for one run of records that
+    share N_pi, shaped to broadcast against the coupling arrays: tau,
+    beta = omega_L tau, cos beta, sin beta and (1 - cos beta) / 4, and for
+    the gradient tau sin beta, tau cos beta and tau (1 - cos beta) / 4, or
+    None where no caller reads the gradient.  They are built once, not in
+    every block of :func:`_spin_term_core`.  ``n_pi`` is the run's N_pi.
     """
 
     tau: np.ndarray
-    n_pi: np.ndarray
+    n_pi: int
     beta: np.ndarray
     cb: np.ndarray
     sb: np.ndarray
     quarter_one_m_cb: np.ndarray
-    ladder: tuple
     tau_sb: np.ndarray = None
     tau_cb: np.ndarray = None
     quarter_tau_one_m_cb: np.ndarray = None
 
     def take(self, cols: slice) -> "_DDRecords":
-        """The records ``cols`` of the last axis, ladder masks included."""
-        arrays = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ladder"}
-        return _DDRecords(**{name: v if v is None else v[..., cols] for name, v in arrays.items()},
-                          ladder=tuple(bit if isinstance(bit, bool) else bit[..., cols]
-                                       for bit in self.ladder))
+        """The records ``cols`` of the last axis."""
+        return replace(self, **{f.name: v[..., cols] for f in fields(self)
+                                if isinstance(v := getattr(self, f.name), np.ndarray)})
 
 
-def _dd_records(tau, n_pi, omega_l, with_grad: bool) -> _DDRecords:
-    if not np.all(np.asarray(omega_l) > 0):
-        raise ModelError("omega_l must be positive")
-    tau = np.asarray(tau, dtype=float)
+def _n_pi_runs(n_pi):
+    """The records as runs that share N_pi, the unit the DD kernel scores:
+    (N_pi, index) pairs in ascending N_pi, where the index picks the run's
+    records in the caller's order.  A uniform set is one run indexed by a
+    slice, so it takes no sort, gather or scatter."""
     n_pi = np.asarray(n_pi, dtype=float)
     n = n_pi.astype(np.int64)
     if np.any(n != n_pi) or np.any(n < 1):
         raise ModelError(f"n_pi must be positive integers, got {n_pi}")
-    ladder = []
-    for j in range(int(n.max(initial=1)).bit_length() - 1, -1, -1):
-        bit = ((n >> j) & 1).astype(bool)
-        ladder.append(True if bit.all() else bit if bit.any() else False)
+    if n.size == 0 or np.all(n == n[0]):
+        return [(int(n[0]) if n.size else 1, slice(None))]
+    return [(v, np.flatnonzero(n == v)) for v in sorted(set(n.tolist()))]
+
+
+def _dd_records(tau, n_pi: int, omega_l, with_grad: bool) -> _DDRecords:
+    if not np.all(np.asarray(omega_l) > 0):
+        raise ModelError("omega_l must be positive")
+    tau = np.asarray(tau, dtype=float)
     beta = omega_l * tau
     cb = np.cos(beta)
     rec = _DDRecords(tau=tau, n_pi=n_pi, beta=beta, cb=cb, sb=np.sin(beta),
-                     quarter_one_m_cb=0.25 * (1.0 - cb), ladder=tuple(ladder))
+                     quarter_one_m_cb=0.25 * (1.0 - cb))
     if not with_grad:
         return rec
     return replace(rec, tau_sb=tau * rec.sb, tau_cb=tau * cb,
@@ -355,55 +358,46 @@ def _spin_axes(a_z, a_perp, omega_l):
     return w, r / w, (a_perp * a_perp) / wsq
 
 
-def _chebyshev(c, ladder, with_v: bool, buf):
-    """2 T_N(c) and V = 2 U_{N-1}(c) by the binary ladder of ``_spin_term_core``.
+def _chebyshev(c, n: int, with_v: bool, buf):
+    """2 T_N(c) and V = 2 U_{N-1}(c) for one N = ``n`` over every element of
+    c, by a ladder over the bits of N, highest first.
 
-    Each record starts at a = its bits in the ladder's top two places, in
-    closed form from X = 2c: 2 T_0 ... 2 T_3 = 2, X, X^2 - 2, X (X^2 - 3)
-    and 2 U_-1 ... 2 U_2 = 0, 2, 2X, 2 (X^2 - 1), picked by mask where the
-    records' top two bits differ.  A record whose N_pi is shorter than the
-    longest starts at T_0 or T_1, which the doubling steps keep or carry
-    exactly, and reaches its top two bits by the ladder's steps; so where
-    its second bit is set, its last bits can depend on the longest N_pi of
-    its call.  V is carried when the caller reads it or a later step adds
-    one; otherwise it is None.  At a power of two the start is the first
-    doubling and V an exact rescaling of U, so those N_pi run the operations
-    of the plain doubling ladder bit for bit.
+    The top two bits give the start a = 1, 2 or 3 in closed form from X = 2c:
+    2 T_1 ... 2 T_3 = X, X^2 - 2, X (X^2 - 3) and 2 U_0 ... 2 U_2 = 2, 2X,
+    2 (X^2 - 1).  Each lower bit doubles, 2 T_2a = (2 T_a)^2 - 2 and
+    V_{2a-1} = 2 T_a V_{a-1}, then, where it is set, adds one:
+    V_a = c V_{a-1} + 2 T_a and 2 T_{a+1} = c 2 T_a - (1 - c^2) V_{a-1}.  V
+    is carried when the caller reads it or a later step adds one; otherwise
+    it is None.  At a power of two the start is the first doubling and V an
+    exact rescaling of U, so those N run the plain doubling ladder bit for bit.
     """
-    keep_v = with_v or any(bit is not False for bit in ladder[2:])
+    ladder = [n >> j & 1 for j in range(n.bit_length() - 1, -1, -1)]
     x = np.multiply(c, 2.0, out=next(buf))           # X = 2 T_1
-    v = next(buf) if keep_v else None
-    if len(ladder) == 1:                             # every N is 1
+    v = next(buf) if with_v or any(ladder[2:]) else None
+    if len(ladder) == 1:                             # N = 1
         if v is not None:
             v.fill(2.0)                              # 2 U_0
         return x, v
-    hi, lo = ladder[:2]
     x2 = None
-    if hi is True and lo is False:                   # every record starts at a = 2
+    if not ladder[1]:                                # a = 2
         if v is not None:
             np.multiply(x, 2.0, out=v)               # 2 U_1 = 2X
         np.multiply(x, x, out=x)
         x -= 2.0                                     # 2 T_2 = X^2 - 2
-    elif hi is True and lo is True:                  # every record starts at a = 3
+    else:                                            # a = 3
         x2 = np.multiply(x, x, out=next(buf))
         if v is not None:
             np.subtract(x2, 1.0, out=v)
             v *= 2.0                                 # 2 U_2 = 2 (X^2 - 1)
         x2 -= 3.0
         x *= x2                                      # 2 T_3 = X (X^2 - 3)
-    else:                                            # a = 0, 1, 2 or 3 by mask
-        x2 = np.multiply(x, x, out=next(buf))
-        at = [np.equal(2 * hi + lo, a) for a in range(3)]
-        if v is not None:
-            np.copyto(v, np.select(at, [0.0, 2.0, 2.0 * x], 2.0 * (x2 - 1.0)))
-        np.copyto(x, np.select(at, [2.0, x, x2 - 2.0], x * (x2 - 3.0)))
     one_m_c2 = spare_x = spare_v = None
     for bit in ladder[2:]:
         if v is not None:
             v *= x                                   # 2 U_{2a-1} = 2 T_a 2 U_{a-1}
         np.multiply(x, x, out=x)
         x -= 2.0                                     # 2 T_2a = (2 T_a)^2 - 2
-        if bit is False:
+        if not bit:
             continue
         if one_m_c2 is None:
             one_m_c2 = np.multiply(c, c, out=next(buf) if x2 is None else x2)
@@ -411,14 +405,10 @@ def _chebyshev(c, ladder, with_v: bool, buf):
             spare_x, spare_v = next(buf), next(buf)
         np.multiply(c, v, out=spare_v)               # 2 U_a = c 2 U_{a-1} + 2 T_a
         spare_v += x
-        if bit is True:                              # 2 T_{a+1} = c 2 T_a - (1 - c^2) 2 U_{a-1}
-            np.multiply(c, x, out=spare_x)
-            v *= one_m_c2
-            spare_x -= v
-            x, spare_x, v, spare_v = spare_x, x, spare_v, v
-        else:
-            np.copyto(x, c * x - one_m_c2 * v, where=bit)
-            np.copyto(v, spare_v, where=bit)
+        np.multiply(c, x, out=spare_x)               # 2 T_{a+1} = c 2 T_a - (1 - c^2) 2 U_{a-1}
+        v *= one_m_c2
+        spare_x -= v
+        x, spare_x, v, spare_v = spare_x, x, spare_v, v
     return x, v
 
 
@@ -436,18 +426,15 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     only through Chebyshev polynomials of c = cos phi (Mason & Handscomb,
     2003): sin^2(N phi / 2) = (1 - T_N(c)) / 2, and its c-derivative is
     -N U_{N-1}(c) / 2, exact at |c| = 1 where sin(N phi) / sin(phi) is a
-    limit.  Both come from a ladder over the bits of N, highest first, that
-    carries 2 T and V = 2 U (:func:`_chebyshev`): the top two bits give the
-    start a = 1, 2 or 3 in closed form, and each lower bit doubles,
-    2 T_2a = (2 T_a)^2 - 2 and V_{2a-1} = 2 T_a V_{a-1}, then, where it is
-    set, adds one: V_a = c V_{a-1} + 2 T_a and
-    2 T_{a+1} = c 2 T_a - (1 - c^2) V_{a-1}.  A bit that no record has skips
-    the add-one step and one that every record has needs no mask.  So N's
-    bit length L sets the cost in full-size passes: 4 + 3 (L - 2) with V,
-    2 more when the second bit is set, 5 per set bit below the top two and 2
-    once for 1 - c^2; without V, which only the gradient and the add-one
-    steps read, 3 + 2 (L - 2), 1 more when the second bit is set.  N_pi = 24
-    takes 15 passes (10 without V), and N_pi = 32 takes 16 (11).
+    limit.  Both come from the bit ladder of :func:`_chebyshev`, which
+    carries 2 T and V = 2 U.  ``rec`` is one run of records that share N
+    (:func:`_n_pi_runs`), so N's bit length L sets the cost in full-size
+    passes: 4 + 3 (L - 2) with V, 2 more when the second bit is set, 5 per
+    set bit below the top two and 2 once for 1 - c^2; without V, which only
+    the gradient and the add-one steps read, 3 + 2 (L - 2), 1 more when the
+    second bit is set.  N_pi = 24 takes 15 passes (10 without V), and
+    N_pi = 32 takes 16 (11); a record set of mixed N_pi costs the sum of its
+    runs.
 
     The denominator 1 + cos phi falls back to the algebraically identical
     form 2 cos^2((alpha + beta) / 2) + (1 - m_z) sin alpha sin beta wherever
@@ -479,7 +466,7 @@ def _spin_term_core(a_z, a_perp, rec: _DDRecords, omega_l, with_grad: bool, work
     # (1 - cos alpha)(1 - cos beta) / 4 and 4 sin^2(N phi / 2) = 2 - 2 T_N: the
     # powers of two cancel exactly in g and in the factors below
     numer *= rec.quarter_one_m_cb
-    h, cheb_v = _chebyshev(c, rec.ladder, with_grad, buf)
+    h, cheb_v = _chebyshev(c, rec.n_pi, with_grad, buf)
     np.subtract(2.0, h, out=h)
     h *= inv_den
     g = np.multiply(numer, h, out=c)
@@ -533,8 +520,11 @@ def dd_single_spin_term(a_z, a_perp, tau, n_pi, omega_l):
     shape = np.broadcast(a_z, a_perp, tau, n_pi, omega_l).shape
     a_z, a_perp, tau, n_pi, omega_l = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
                                        for v in (a_z, a_perp, tau, n_pi, omega_l))
-    out = _spin_term_core(a_z, a_perp, _dd_records(tau, n_pi, omega_l, False), omega_l, False,
-                          np.empty((_KERNEL_BUFFERS, a_z.size))).reshape(shape)
+    out = np.empty(shape)
+    for n, at in _n_pi_runs(n_pi):
+        wl = omega_l[at]
+        out.flat[at] = _spin_term_core(a_z[at], a_perp[at], _dd_records(tau[at], n, wl, False),
+                                       wl, False, np.empty((_KERNEL_BUFFERS, wl.size)))
     if np.any(np.isnan(out)):
         raise ModelError(f"spin term is NaN for a_z={a_z}, a_perp={a_perp}, tau={tau}, "
                          f"n_pi={n_pi}, omega_l={omega_l}")
@@ -554,15 +544,19 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
                          "or a stack of them")
     shape = np.broadcast(tau, n_pi).shape
     tau, n_pi = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (tau, n_pi))
-    rec = _dd_records(tau, n_pi, omega_l, False)
     stack = np.atleast_2d(a)
     prod = np.empty((stack.shape[0], tau.size))
-    for rows, cols, work in _row_blocks(stack.shape[0], stack.shape[1] // 2, tau.size,
-                                        _KERNEL_BUFFERS, split=True):
-        work = work.reshape(work.shape[0], work.shape[2], work.shape[1], work.shape[3])
-        m = _spin_term_core(stack[rows, 0::2].T[:, :, None], stack[rows, 1::2].T[:, :, None],
-                            rec.take(cols), omega_l, False, work)       # (K, b, cols)
-        m.prod(axis=0, out=prod[rows, cols])
+    for n, at in _n_pi_runs(n_pi):
+        rec, run_prod = _dd_records(tau[at], n, omega_l, False), prod[:, at]
+        for rows, cols, work in _row_blocks(stack.shape[0], stack.shape[1] // 2, rec.tau.size,
+                                            _KERNEL_BUFFERS, split=True):
+            work = work.reshape(work.shape[0], work.shape[2], work.shape[1], work.shape[3])
+            m = _spin_term_core(stack[rows, 0::2].T[:, :, None], stack[rows, 1::2].T[:, :, None],
+                                rec.take(cols), omega_l, False, work)   # (K, b, cols)
+            m.prod(axis=0, out=run_prod[rows, cols])
+        work = m = None                              # free the run's workspace before the next's
+        if not isinstance(at, slice):                # a gathered run, not a view of prod
+            prod[:, at] = run_prod
     if np.any(np.isnan(prod)):
         raise ModelError(f"spin term is NaN for couplings={a}, tau={tau}, n_pi={n_pi}")
     envelope = np.multiply(n_pi, tau)
@@ -579,7 +573,7 @@ def dd_outcome_prob(tau, n_pi, couplings, phi: NuisanceParams, omega_l, eta_stre
 
 @dataclass(frozen=True)
 class _DDData:
-    rec: _DDRecords      # record constants shaped (1, 1, M) against (K, B, 1) couplings
+    runs: tuple          # (_DDRecords shaped (1, 1, m) against (K, B, 1) couplings, index) per run
     y: np.ndarray        # (M,)
     seq_time: np.ndarray  # (M,) N_pi * tau
 
@@ -615,19 +609,18 @@ class DDModel:
     def prepare(self, records) -> _DDData:
         tau = np.array([r.tau_us for r in records])
         n_pi = np.array([r.n_pi for r in records], dtype=float)
-        return _DDData(
-            rec=_dd_records(tau[None, None, :], n_pi[None, None, :], self.omega_l, True),
-            y=np.array([r.y for r in records]),
-            seq_time=n_pi * tau,
-        )
+        return _DDData(runs=tuple((_dd_records(tau[None, None, at], n, self.omega_l, True), at)
+                                  for n, at in _n_pi_runs(n_pi)),
+                       y=np.array([r.y for r in records]), seq_time=n_pi * tau)
 
     def batch_loglik(self, data: _DDData, a: np.ndarray, phi: NuisanceParams,
                      grad_weights=None):
         """Summed Gaussian log-likelihood, dA (B, 2K) and dphi (B, 3).
 
         ``grad_weights`` (M,) weight the records in both gradients only.
-        The samples run in the spin-major row blocks of :func:`_row_blocks`;
-        the per-spin chain rule runs once, over all rows.
+        The samples run in the spin-major row blocks of :func:`_row_blocks`,
+        one N_pi run at a time; the runs' sums are added in ascending N_pi,
+        and the per-spin chain rule runs once, over all rows.
         """
         a = np.atleast_2d(np.asarray(a, dtype=float))
         if a.shape[1] != self.dim:
@@ -638,17 +631,21 @@ class DDModel:
             denv = -envelope * self.eta_stretch * np.power(damp_arg, self.eta_stretch) / phi.t2_inv
         else:
             denv = -envelope * data.seq_time if self.eta_stretch == 1.0 else np.zeros_like(envelope)
-        n = a.shape[0]
-        ll = np.empty(n)
-        grad_phi = np.empty((n, 3))
-        sums = np.empty((3, n, self.k_spins))
-        for rows, _, work in _row_blocks(n, self.k_spins, data.y.size, _KERNEL_BUFFERS + 2):
-            work = work.reshape(work.shape[0], work.shape[2], work.shape[1], work.shape[3])
-            self._block_loglik(data, a[rows], phi, envelope, denv, grad_weights, work,
-                               ll[rows], grad_phi[rows], sums[:, rows])
+        n, k = a.shape[0], self.k_spins
+        ll, grad_phi, sums = (np.empty((len(data.runs), *s)) for s in ((n,), (n, 3), (3, n, k)))
+        for r, (rec, at) in enumerate(data.runs):
+            weights = None if grad_weights is None else np.asarray(grad_weights)[at]
+            for rows, _, work in _row_blocks(n, k, rec.tau.size, _KERNEL_BUFFERS + 2):
+                work = work.reshape(work.shape[0], work.shape[2], work.shape[1], work.shape[3])
+                self._block_loglik(rec, data.y[at], a[rows], phi, envelope[at], denv[at], weights,
+                                   work, ll[r, rows], grad_phi[r, rows], sums[r, :, rows])
+            work = None                              # free the run's workspace before the next's
+        for run_sums in (ll, grad_phi, sums):        # the runs add in ascending N_pi
+            for later in run_sums[1:]:
+                run_sums[0] += later
         # dM/dA = -(du/dA g + u (dg/dalpha dalpha/dA + dg/dm_z dm_z/dA)) with
         # dalpha/dA = tau (m_z, A_perp / w); s_a already carries the tau
-        s_g, s_a, s_z = sums
+        s_g, s_a, s_z = sums[0]
         a_z, a_perp = a[:, 0::2], a[:, 1::2]
         w, m_z, u = _spin_axes(a_z, a_perp, self.omega_l)                   # (B, K)
         wsq = w * w
@@ -657,15 +654,16 @@ class DDModel:
         grad_a = np.empty_like(a)
         grad_a[:, 0::2] = -(du_daz * s_g + u * (m_z * s_a + dmz_daz * s_z))
         grad_a[:, 1::2] = -(du_dap * s_g + u * (a_perp / w * s_a + dmz_dap * s_z))
-        return ll, grad_a, grad_phi
+        return ll[0], grad_a, grad_phi[0]
 
-    def _block_loglik(self, data: _DDData, a, phi: NuisanceParams, envelope, denv, grad_weights,
-                      work, ll, grad_phi, sums):
+    def _block_loglik(self, rec: _DDRecords, y, a, phi: NuisanceParams, envelope, denv,
+                      grad_weights, work, ll, grad_phi, sums):
         """Fill ``ll``, ``grad_phi`` and the record sums ``sums`` = (s_g, s_a,
-        s_z) of the rows ``a`` from a spin-major (buffers, K, b, M) workspace."""
+        s_z) of the rows ``a`` over one N_pi run ``rec`` with outcomes ``y``,
+        from a spin-major (buffers, K, b, m) workspace."""
         global _variance_floor_count
         a_z, a_perp = a[:, 0::2].T[:, :, None], a[:, 1::2].T[:, :, None]        # (K, b, 1)
-        m, g, tau_dg_da, dg_dmz = _spin_term_core(a_z, a_perp, data.rec, self.omega_l, True,
+        m, g, tau_dg_da, dg_dmz = _spin_term_core(a_z, a_perp, rec, self.omega_l, True,
                                                   work[:-2])                      # (K, b, M)
         # leave-one-out products keep gradients finite when some M_k ~ 0: prefix
         # and suffix products over contiguous spin slices (np.cumprod along
@@ -677,7 +675,7 @@ class DDModel:
         for j in range(1, k):
             np.multiply(loo[j - 1], m[j - 1], out=loo[j])
             np.multiply(right[k - j], m[k - j], out=right[k - j - 1])
-        prod = loo[-1] * m[-1] if k else np.ones((a.shape[0], data.y.size))
+        prod = loo[-1] * m[-1] if k else np.ones((a.shape[0], y.size))
         loo *= right
 
         # the (b, M) stage, in place: p1, its variance and the derivatives
@@ -694,7 +692,7 @@ class DDModel:
         if any_floored:
             _variance_floor_count += int(np.count_nonzero(floored))
             np.maximum(var, VARIANCE_FLOOR, out=var)
-        resid = np.subtract(data.y, p1)
+        resid = np.subtract(y, p1)
         resid_sq = np.multiply(resid, resid)
         two_var = np.multiply(var, 2.0)
         terms = np.log(var)

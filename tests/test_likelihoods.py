@@ -255,11 +255,10 @@ def test_spin_term_million_draw_bounds_and_symmetries():
     assert np.array_equal(m, flipped)
 
 
-def _kernel_ladder(c, n_pi):
+def _kernel_ladder(c, n):
     """2 T_N(c) and 2 U_{N-1}(c) from the kernel's ladder over the bits of
-    ``n_pi``, drawing its buffers from five fresh ones."""
-    rec = lk._dd_records(np.ones(n_pi.shape), n_pi, OMEGA_L, False)
-    return lk._chebyshev(c, rec.ladder, True, iter(np.empty((5,) + c.shape)))
+    N = ``n``, drawing its buffers from five fresh ones."""
+    return lk._chebyshev(c, n, True, iter(np.empty((5,) + c.shape)))
 
 
 def test_chebyshev_ladder_at_every_n_pi_alone_and_mixed():
@@ -276,29 +275,33 @@ def test_chebyshev_ladder_at_every_n_pi_alone_and_mixed():
         assert two_t[-2] == 2.0 * (-1) ** n and two_t[-1] == 2.0, n
         assert n * two_u[-2] == 2.0 * n * n * (-1) ** (n - 1) and n * two_u[-1] == 2.0 * n * n, n
 
-    def same_as_fresh(c, n_pi, ladder):
-        # the start, by mask or not, and every step run the fresh-array
-        # ladder's operations
-        return all(map(np.array_equal, ladder, _fresh_chebyshev(c, n_pi)))
+    def grouped(c, n_pi):
+        # the kernel's order: one ladder per N_pi run, back in the caller's order
+        two_t, two_u = np.empty(c.shape), np.empty(c.shape)
+        for n, at in lk._n_pi_runs(n_pi):
+            two_t[at], two_u[at] = _kernel_ladder(c[at], n)
+        return two_t, two_u
 
-    alone = {n: _kernel_ladder(c, np.full(c.shape, float(n))) for n in ns}
+    alone = {n: _kernel_ladder(c, int(n)) for n in ns}
     for n in ns:
         check(n, *alone[n])
-        assert same_as_fresh(c, np.full(c.shape, float(n)), alone[n]), n
-    # one array of all 70, and every pair: each start by mask and each mixture
-    # of bit lengths
-    n_pi = np.repeat(ns, c.size).reshape(70, -1) * 1.0
-    mixed = _kernel_ladder(np.tile(c, (70, 1)), n_pi)
-    for i, n in enumerate(ns):
-        check(n, mixed[0][i], mixed[1][i])
-    assert same_as_fresh(np.tile(c, (70, 1)), n_pi, mixed)
+        # the closed-form start and every step run the fresh-array ladder's
+        # operations
+        assert all(map(np.array_equal, alone[n], _fresh_chebyshev(c, int(n)))), n
+    # one shuffled array of all 70, and every pair interleaved: each record
+    # gets the ladder of its own N_pi alone, bit for bit
+    n_pi = np.repeat(ns, c.size)
+    cs = np.tile(c, 70)
+    perm = np.argsort(rng.uniform(0.0, 1.0, n_pi.size))
+    mixed = grouped(cs[perm], n_pi[perm])
+    for n in ns:
+        at = n_pi[perm] == n
+        assert all(np.array_equal(x[at], y[perm[at] % c.size]) for x, y in zip(mixed, alone[n])), n
     for n1 in ns:
         for n2 in ns[n1:]:
-            n_pi = np.array([[n1], [n2]]) * np.ones(c.size)
-            pair = _kernel_ladder(np.tile(c, (2, 1)), n_pi)
-            check(n1, pair[0][0], pair[1][0])
-            check(n2, pair[0][1], pair[1][1])
-            assert same_as_fresh(np.tile(c, (2, 1)), n_pi, pair), (n1, n2)
+            pair = grouped(np.repeat(c, 2), np.tile([n1, n2], c.size))
+            for i, n in enumerate((n1, n2)):
+                assert all(np.array_equal(x[i::2], y) for x, y in zip(pair, alone[n])), (n1, n2)
     # at a power of two the ladder is the plain doubling recurrence, bit for bit
     x, v = 2.0 * c, np.full(c.shape, 2.0)
     for k in range(7):
@@ -379,7 +382,7 @@ def test_outcome_prob_blocks_the_records_of_one_long_row():
     chunks = [lk.dd_outcome_prob(taus[i:i + 125_000], 32, a, phi, OMEGA_L)
               for i in range(0, n, 125_000)]
     assert np.array_equal(p0, np.concatenate(chunks))
-    # mixed N_pi: the record blocks slice the ladder masks
+    # mixed N_pi: each N_pi run is blocked on its own
     n_pi = rng.integers(1, 65, 100_000)
     p0 = lk.dd_outcome_prob(taus[:100_000], n_pi, a, phi, OMEGA_L)
     chunks = [lk.dd_outcome_prob(taus[i:i + 5_000], n_pi[i:i + 5_000], a, phi, OMEGA_L)
@@ -413,6 +416,32 @@ def test_outcome_prob_stacked_couplings_equal_row_calls(n_pi):
     omegas = rng.uniform(0.0, 1.0, (33, 4))
     rows = np.stack([lk.toy_outcome_prob(taus, w) for w in omegas])
     assert np.array_equal(lk.toy_outcome_prob(taus, omegas), rows)
+
+
+def test_dd_record_value_does_not_depend_on_its_neighbours():
+    # in a mixed-N_pi call each record equals its own one-record call, bit
+    # for bit: the kernel scores one N_pi run at a time
+    rng = RngStream(47)
+    phi = lk.NuisanceParams(t2_inv=1e-4)
+    a = rng.uniform(-0.4, 0.4, 8)
+    n_pi = np.repeat(np.arange(1, 65), 3)
+    n_pi = n_pi[np.argsort(rng.uniform(0.0, 1.0, n_pi.size))]
+    taus = rng.uniform(0.5, 40.0, n_pi.size)
+    p0 = lk.dd_outcome_prob(taus, n_pi, a, phi, OMEGA_L)
+    assert np.array_equal(p0, [lk.dd_outcome_prob(t, n, a, phi, OMEGA_L)
+                               for t, n in zip(taus, n_pi)])
+    # a 2-D tau grid against an N_pi column comes back in the grid's order
+    grid = lk.dd_outcome_prob(taus[:40].reshape(1, 40), np.array([[33], [1], [24], [33]]),
+                              a, phi, OMEGA_L)
+    assert grid.shape == (4, 40)
+    for row, n in zip(grid, (33, 1, 24, 33)):
+        assert np.array_equal(row, [lk.dd_outcome_prob(t, n, a, phi, OMEGA_L) for t in taus[:40]])
+    # a (B, 2K) stack through the model
+    model = lk.DDModel(k_spins=4, omega_l=OMEGA_L)
+    stack = rng.uniform(-0.4, 0.4, (5, 8))
+    stacked = model.outcome_prob(taus, n_pi, stack, phi)
+    singles = np.column_stack([model.outcome_prob(t, n, stack, phi) for t, n in zip(taus, n_pi)])
+    assert np.array_equal(stacked, singles)
 
 
 @pytest.mark.parametrize("n_pi", [24, 32])
@@ -610,9 +639,10 @@ def test_batch_loglik_at_the_variance_floor():
 
 
 def _dd_stack(n_pi, k, rows=37, m=96, seed=61):
-    """Records at N_pi 24, 32 or both, and a (rows, 2K) coupling stack."""
+    """Records at N_pi 24, 32, both, or 1, 24 and 33 in runs of unequal
+    length, interleaved; and a (rows, 2K) coupling stack."""
     rng = RngStream(seed)
-    n_pis = {"24": [24], "32": [32], "mixed": [24, 32]}[n_pi]
+    n_pis = {"24": [24], "32": [32], "mixed": [24, 32], "runs": [1, 24, 24, 33, 33, 33]}[n_pi]
     records = [lk.MeasurementRecord(float(t), n_pis[i % len(n_pis)], 1024,
                                     float(rng.uniform(0.0, 0.8)))
                for i, t in enumerate(np.linspace(5.5, 8.5, m))]
@@ -621,7 +651,7 @@ def _dd_stack(n_pi, k, rows=37, m=96, seed=61):
 
 
 @pytest.mark.parametrize("k", [0, 1, 10])
-@pytest.mark.parametrize("n_pi", ["24", "32", "mixed"])
+@pytest.mark.parametrize("n_pi", ["24", "32", "mixed", "runs"])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_dd_batch_loglik_is_independent_of_block_size(monkeypatch, weighted, n_pi, k):
     records, a, rng = _dd_stack(n_pi, k)
@@ -639,34 +669,32 @@ def test_dd_batch_loglik_is_independent_of_block_size(monkeypatch, weighted, n_p
         assert all(np.array_equal(x, y) for x, y in zip(got, results[-1]))
 
 
-def _fresh_chebyshev(c, n_pi):
-    """2 T_N(c) and 2 U_{N-1}(c) by the bit ladder of N, in fresh arrays: each
-    record starts at its bits in the top two places of the longest N, in
-    closed form, then the lower bits double and add one."""
-    n = n_pi.astype(np.int64)
-    top = int(n.max()).bit_length() - 1
+def _fresh_chebyshev(c, n):
+    """2 T_N(c) and 2 U_{N-1}(c) by the bit ladder of one N = ``n``, in fresh
+    arrays: N's top two bits give the start in closed form, then the lower
+    bits double and add one."""
+    top = n.bit_length() - 1
     x = 2.0 * c
     if top == 0:
         return x, np.full(c.shape, 2.0)
-    start = [(n >> (top - 1)) & 3 == a for a in range(4)]
     x2 = x * x
-    v = np.select(start, [0.0, 2.0, 2.0 * x, 2.0 * (x2 - 1.0)])
-    x = np.select(start, [2.0, x, x2 - 2.0, x * (x2 - 3.0)])
+    if (n >> (top - 1)) & 1:
+        v, x = 2.0 * (x2 - 1.0), x * (x2 - 3.0)
+    else:
+        v, x = 2.0 * x, x2 - 2.0
     for j in range(top - 2, -1, -1):
-        bit = ((n >> j) & 1).astype(bool)
         v = v * x
         x = x * x - 2.0
-        if bit.any():
+        if (n >> j) & 1:
             one_m_c2 = 1.0 - c * c
-            stepped_v = c * v + x
-            x = np.where(bit, c * x - one_m_c2 * v, x)
-            v = np.where(bit, stepped_v, v)
+            x, v = c * x - one_m_c2 * v, c * v + x
     return x, v
 
 
-def _fresh_dd_batch_loglik(model, records, a, phi, weights):
-    """DDModel.batch_loglik as expressions over fresh (B, K, M) arrays, with an
-    explicit leave-one-out loop and the chain rule one row at a time."""
+def _fresh_run_sums(model, records, n, a, phi, weights):
+    """ll, grad_phi and the record sums (s_g, s_a, s_z) of one N_pi = ``n``
+    run of DDModel.batch_loglik, as expressions over fresh (B, K, m) arrays
+    with an explicit leave-one-out loop."""
     tau = np.array([r.tau_us for r in records])
     n_pi = np.array([r.n_pi for r in records], dtype=float)
     y = np.array([r.y for r in records])
@@ -688,11 +716,11 @@ def _fresh_dd_batch_loglik(model, records, a, phi, weights):
     den = np.where(den < 1e-12, fallback, den)
     inv_den = 1.0 / den
     numer = numer * one_m_cb
-    two_t, two_u = _fresh_chebyshev(c, n_pi)
+    two_t, two_u = _fresh_chebyshev(c, n)
     h = (two_t * -0.25 + 0.5) * inv_den
     g = numer * h
     m = np.clip(1.0 - u * g, -1.0, 1.0)
-    qn = ((two_u * (0.25 * n_pi)) * numer + g) * inv_den
+    qn = ((two_u * (0.25 * n)) * numer + g) * inv_den
     dg_dmz = sasb * qn
     tau_dg_da = ((sa * (tau * cb) + (ca * m_z) * (tau * sb)) * qn
                  + (h * (tau * one_m_cb)) * sa)
@@ -724,24 +752,40 @@ def _fresh_dd_batch_loglik(model, records, a, phi, weights):
     dll_dvar = dll_dvar if weights is None else dll_dvar * weights
     dll_dp1 = resid_w / var + dll_dvar * phi.chi * (1.0 - 2.0 * p1)
     loo = loo * (dll_dp1 * (-0.5 * envelope))[:, None, :]
-    s_g = np.einsum("bkm,bkm->bk", loo, g)
-    s_a = np.einsum("bkm,bkm->bk", loo, tau_dg_da)
-    s_z = np.einsum("bkm,bkm->bk", loo, dg_dmz)
+    grad_phi = np.stack([(dll_dp1 * (-0.5 * denv * prod)).sum(axis=1),
+                         (dll_dvar * pq).sum(axis=1),
+                         (dll_dvar * 2.0 * phi.eta).sum(axis=1)], axis=1)
+    return [ll, grad_phi] + [np.einsum("bkm,bkm->bk", loo, f) for f in (g, tau_dg_da, dg_dmz)]
+
+
+def _fresh_dd_batch_loglik(model, records, a, phi, weights):
+    """DDModel.batch_loglik from :func:`_fresh_run_sums` of each N_pi's
+    records, in ascending N_pi and in their given order, with the runs'
+    sums added in that order and the chain rule one row at a time."""
+    n_pis = np.array([r.n_pi for r in records])
+    total = None
+    for n in sorted(set(n_pis.tolist())):
+        at = np.flatnonzero(n_pis == n)
+        run = _fresh_run_sums(model, [records[i] for i in at], n, a, phi,
+                              None if weights is None else weights[at])
+        total = run if total is None else [x + y for x, y in zip(total, run)]
+    ll, grad_phi, s_g, s_a, s_z = total
+    r = a[:, 0::2] + model.omega_l
+    wsq = r * r + a[:, 1::2] * a[:, 1::2]
+    w = np.sqrt(wsq)
+    m_z, u = r / w, (a[:, 1::2] * a[:, 1::2]) / wsq
     grad_a = np.empty_like(a)
-    for b in range(n_rows):
-        w_b, m_z_b, u_b, ap = w[b, :, 0], m_z[b, :, 0], u[b, :, 0], a_perp[b, :, 0]
+    for b in range(a.shape[0]):
+        w_b, m_z_b, u_b, ap = w[b], m_z[b], u[b], a[b, 1::2]
         du_daz, dmz_daz = -2.0 * u_b * m_z_b / w_b, u_b / w_b
         du_dap, dmz_dap = 2.0 * ap * m_z_b * m_z_b / (w_b * w_b), -m_z_b * ap / (w_b * w_b)
         grad_a[b, 0::2] = -(du_daz * s_g[b] + u_b * (m_z_b * s_a[b] + dmz_daz * s_z[b]))
         grad_a[b, 1::2] = -(du_dap * s_g[b] + u_b * (ap / w_b * s_a[b] + dmz_dap * s_z[b]))
-    grad_phi = np.stack([(dll_dp1 * (-0.5 * denv * prod)).sum(axis=1),
-                         (dll_dvar * pq).sum(axis=1),
-                         (dll_dvar * 2.0 * phi.eta).sum(axis=1)], axis=1)
     return ll, grad_a, grad_phi
 
 
 @pytest.mark.parametrize("case", ["plain", "floored"])
-@pytest.mark.parametrize("n_pi", ["24", "32", "mixed"])
+@pytest.mark.parametrize("n_pi", ["24", "32", "mixed", "runs"])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_dd_batch_loglik_equals_fresh_array_expressions(weighted, n_pi, case):
     # the blocked, spin-major kernel runs the operations of these expressions,
